@@ -25,19 +25,17 @@ def _report(args, payload, human):
 def _load_model(path):
     with open(path) as fh:
         text = fh.read()
-    first = text.strip().splitlines()[0].strip()
+    first = next((ln.strip() for ln in text.splitlines()
+                  if ln.strip() and not ln.strip().startswith("#")), "")
     if first == "btac":
         m = btac.parse_model(text)
         bad = btac.validate_model(m)
-        if bad:
-            raise ValueError("invalid model: " + "; ".join(bad))
-        return m
-    return kripke.parse_model(text)
-
-
-def _cfg(args):
-    return SolverConfig(agent_universe=args.agents,
-                        world_bound_override=getattr(args, "bound", None))
+    else:
+        m = kripke.parse_model(text)
+        bad = kripke.validate_model(m)
+    if bad:
+        raise ValueError("invalid model: " + "; ".join(bad))
+    return m
 
 
 def _witness_payload(witness):
@@ -77,7 +75,7 @@ def cmd_check(args):
 
 def cmd_sat(args):
     f = syntax.parse(args.formula)
-    cfg = _cfg(args)
+    cfg = SolverConfig(agent_universe=args.agents)
     if args.engine == "oracle":
         res = solver.oracle(f, args.max_worlds, cfg)
     elif args.agents == 1 and len(syntax.agents(f)) <= 1:
@@ -96,7 +94,7 @@ def cmd_sat(args):
 
 def cmd_valid(args):
     f = syntax.parse(args.formula)
-    verdict = solver.valid(f, _cfg(args))
+    verdict = solver.valid(f, SolverConfig(agent_universe=args.agents))
     _report(args, {"valid": verdict}, "valid" if verdict else "not valid")
     return 0 if verdict else 1
 
@@ -152,7 +150,11 @@ def cmd_axiom(args):
 
 def cmd_oracle(args):
     f = syntax.parse(args.formula)
-    res = solver.oracle(f, args.max_worlds, _cfg(args))
+    agents = args.agents
+    if agents is None:
+        agents = max(syntax.agents(f), default=0) + 1
+    res = solver.oracle(f, args.max_worlds,
+                        SolverConfig(agent_universe=agents))
     payload = {"verdict": res.verdict, "stats": res.stats,
                "witness": _witness_payload(res.witness)}
     human = res.verdict
@@ -191,8 +193,6 @@ def build_parser():
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; solving is single-threaded")
         return p
 
     p = add("parse", cmd_parse, help="echo canonical form and measures")
@@ -210,7 +210,6 @@ def build_parser():
         p.add_argument("formula")
         p.add_argument("--agents", type=int, required=True,
                        help="size of the agent universe")
-        p.add_argument("--bound", type=int, default=None)
         if name == "sat":
             p.add_argument("--engine", choices=["search", "oracle"],
                            default="search")
@@ -255,12 +254,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "agents", None) is None and args.command == "oracle":
-        args.agents = max(syntax.agents(syntax.parse(args.formula)),
-                          default=0) + 1
     try:
         return args.fn(args)
-    except (InconclusiveError, TimeoutError) as e:
+    except InconclusiveError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as e:

@@ -7,25 +7,23 @@ Cells are encoded as bitmasks over the points.  A *valuation index* ``v``
 packs one point-mask per atom: atom ``a`` is true exactly at the points in
 ``(v >> (a * n_points)) & ((1 << n_points) - 1)``.
 
-Two backends implement the same two scans over all ``2**(n_atoms *
-n_points)`` valuations of a frame:
+Two scans run over all ``2**(n_atoms * n_points)`` valuations of a
+frame:
 
 * ``scan_sat``   -- first (valuation, point) where the formula holds;
 * ``scan_valid`` -- first (valuation, point) where it fails.
 
-The compiled backend (``stitkit._ckernel``, Cython) walks valuations in a
-tight loop; the pure-Python backend packs many valuations into a single
-big integer and uses SWAR tricks.  Selection happens at import time and
-can be forced with ``STITKIT_KERNEL=py`` or ``STITKIT_KERNEL=c``.
+Both are done by ``stitkit._pykernel``, which packs many valuations into
+a single big integer and uses SWAR tricks; ``eval_mask`` is the
+one-valuation reference it is tested against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from . import syntax
-from .syntax import And, Atom, Box, Cstit, Dstit, Formula, Not
+from . import _pykernel
+from .syntax import And, Atom, Box, Cstit, Dstit, Not
 
 OP_ATOM = 0
 OP_NOT = 1
@@ -145,33 +143,19 @@ def _check_size(n_points, n_atoms):
             f"valuation space too large: {n_atoms} atoms x {n_points} points")
 
 
-def _load_backend():
-    choice = os.environ.get("STITKIT_KERNEL", "")
-    if choice not in ("py", "c", ""):
-        raise ValueError(f"STITKIT_KERNEL must be 'py' or 'c', not {choice!r}")
-    if choice != "py":
-        try:
-            from . import _ckernel
-            return _ckernel, "c"
-        except ImportError:
-            if choice == "c":
-                raise
-    from . import _pykernel
-    return _pykernel, "py"
-
-
-_backend, BACKEND_NAME = _load_backend()
+# The only scan kernel; kept as a name for reports that print it.
+BACKEND_NAME = "py"
 
 
 def scan_sat(ops, args, frame, n_atoms):
     """First (valuation index, point) satisfying the program, or None."""
     _check_size(frame.n_points, n_atoms)
-    r = _backend.scan(ops, args, frame.n_points, frame.blocks, n_atoms, True)
-    return r
+    return _pykernel.scan(ops, args, frame.n_points, frame.blocks, n_atoms,
+                          True)
 
 
 def scan_valid(ops, args, frame, n_atoms):
     """First falsifying (valuation index, point), or None if frame-valid."""
     _check_size(frame.n_points, n_atoms)
-    return _backend.scan(ops, args, frame.n_points, frame.blocks, n_atoms,
-                         False)
+    return _pykernel.scan(ops, args, frame.n_points, frame.blocks, n_atoms,
+                          False)

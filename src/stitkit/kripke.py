@@ -116,23 +116,11 @@ def check_equivalence(m):
     Relations are stored as partitions, so this amounts to checking the
     partition shape.
     """
+    stored = m.partitions if isinstance(m, MomentModel) else m.relations
     out = []
-    for a in sorted(m.relations):
-        out.extend(_check_partition(m.worlds, m.relations[a], f"agent {a}"))
+    for a in sorted(stored):
+        out.extend(_check_partition(m.worlds, stored[a], f"agent {a}"))
     return out
-
-
-def relation_pairs(cells):
-    """Explicit pair set of a partition, for relation-algebra checks."""
-    return {(w, v) for c in cells for w in c for v in c}
-
-
-def compose(pairs_a, pairs_b):
-    """Relational composition: first travel pairs_a, then pairs_b."""
-    by_src = {}
-    for u, v in pairs_b:
-        by_src.setdefault(u, set()).add(v)
-    return {(w, v) for w, u in pairs_a for v in by_src.get(u, ())}
 
 
 def box_classes(m):
@@ -164,23 +152,29 @@ def box_classes(m):
     return [frozenset(g) for g in groups.values()]
 
 
-def box_class_of(m, w):
-    for c in box_classes(m):
-        if w in c:
-            return c
-    raise KeyError(w)
+def _class_lookup(m):
+    """Map a world to its settledness class, running box_classes on the
+    first call only: most evaluations never ask for a class."""
+    classes = {}
+
+    def class_of(w):
+        if not classes:
+            classes.update((u, c) for c in box_classes(m) for u in c)
+        return classes[w]
+
+    return class_of
 
 
-def _agent_cell(m, agent, w):
+def _agent_cell(m, agent, w, class_of):
     """Class of w for any agent in the universe; padded agents act
-    universally inside the settledness class."""
+    universally inside the settledness class given by ``class_of``."""
     stored = m.partitions if isinstance(m, MomentModel) else m.relations
     if agent in stored:
         return m.cell(agent, w)
     if not 0 <= agent < m.agent_universe:
         raise ValueError(f"agent {agent} outside universe "
                          f"{m.agent_universe}")
-    return box_class_of(m, w)
+    return class_of(w)
 
 
 def check_gpp(m):
@@ -190,7 +184,7 @@ def check_gpp(m):
     larger, a single representative padded agent (padded agents all act
     alike).  Relations must already be equivalence relations.
     """
-    eq = check_equivalence(m) if isinstance(m, KripkeModel) else []
+    eq = check_equivalence(m)
     if eq:
         raise ValueError("not equivalence relations: " + "; ".join(eq))
     stored = sorted(m.partitions if isinstance(m, MomentModel)
@@ -200,17 +194,18 @@ def check_gpp(m):
         padded = next(a for a in range(m.agent_universe)
                       if a not in set(stored))
         agents.append(padded)
+    class_of = _class_lookup(m)
     out = []
     for l in agents:
         for mm in agents:
             for w in m.worlds:
-                for u in _agent_cell(m, l, w):
-                    for v in _agent_cell(m, mm, u):
+                for u in _agent_cell(m, l, w, class_of):
+                    for v in _agent_cell(m, mm, u, class_of):
                         for n in agents:
-                            need = set(_agent_cell(m, n, w))
+                            need = set(_agent_cell(m, n, w, class_of))
                             for i in agents:
                                 if i != n:
-                                    need &= _agent_cell(m, i, v)
+                                    need &= _agent_cell(m, i, v, class_of)
                             if not need:
                                 out.append((w, v, l, mm, n))
     return sorted(set(out))
@@ -220,6 +215,7 @@ def mc(m, w, f):
     """Model checking at a world; dstit goes through interdefinability."""
     if w not in m.worlds:
         raise KeyError(f"unknown world {w!r}")
+    class_of = _class_lookup(m)
     memo = {}
 
     def ev(g, u):
@@ -236,12 +232,14 @@ def mc(m, w, f):
         if isinstance(g, And):
             return ev(g.left, u) and ev(g.right, u)
         if isinstance(g, Cstit):
-            return all(ev(g.sub, v) for v in _agent_cell(m, g.agent, u))
+            return all(ev(g.sub, v)
+                       for v in _agent_cell(m, g.agent, u, class_of))
         if isinstance(g, Box):
-            return all(ev(g.sub, v) for v in box_class_of(m, u))
+            return all(ev(g.sub, v) for v in class_of(u))
         if isinstance(g, Dstit):
-            return (all(ev(g.sub, v) for v in _agent_cell(m, g.agent, u))
-                    and not all(ev(g.sub, v) for v in box_class_of(m, u)))
+            return (all(ev(g.sub, v)
+                        for v in _agent_cell(m, g.agent, u, class_of))
+                    and not all(ev(g.sub, v) for v in class_of(u)))
         raise TypeError(f"not a formula: {g!r}")
 
     return ev(f, w)
@@ -249,7 +247,7 @@ def mc(m, w, f):
 
 def generated_submodel(m, w):
     """Restriction of a KripkeModel to the settledness class of w."""
-    cls = box_class_of(m, w)
+    cls = _class_lookup(m)(w)
     keep = [u for u in m.worlds if u in cls]
     relations = {a: tuple(c & cls for c in cells if c & cls)
                  for a, cells in m.relations.items()}
@@ -287,8 +285,8 @@ def filtrate_with_map(m, f):
             class_names[sig] = f"q{len(class_names)}"
         world_map[w] = class_names[sig]
     new_worlds = tuple(class_names.values())
-    assert len(new_worlds) <= 2 ** syntax.length(f), \
-        "filtration exceeded the 2^length bound"
+    if len(new_worlds) > 2 ** syntax.length(f):
+        raise AssertionError("filtration exceeded the 2^length bound")
 
     # R'_i: classes related iff they agree on every [i]-subformula
     sf_idx = {g: k for k, g in enumerate(sf)}
@@ -330,6 +328,26 @@ def check_rectangular(m):
             walk(k + 1, chosen + [c], inter & c)
 
     walk(0, [], set(m.worlds))
+    return out
+
+
+def validate_model(m):
+    """Violations of the model's class, as human-readable strings.
+
+    Both classes need partitions; a MomentModel needs them to meet
+    rectangularly, a KripkeModel needs the permutation property.
+    """
+    out = check_equivalence(m)
+    if out:
+        return out
+    if isinstance(m, MomentModel):
+        for cells in check_rectangular(m)[:1]:
+            text = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
+            out.append(f"partitions not rectangular: {text} do not meet")
+    else:
+        for w, v, l, mm, n in check_gpp(m)[:1]:
+            out.append(f"permutation property fails at w={w} v={v} "
+                       f"l={l} m={mm} n={n}")
     return out
 
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import kernel, kripke, syntax
+from . import kernel, syntax
 from .btac import set_partitions
 from .kripke import KripkeModel, MomentModel, mc
 from .syntax import And, Atom, Box, Cstit, Not
@@ -50,9 +49,6 @@ class InconclusiveError(Exception):
 @dataclass
 class SolverConfig:
     agent_universe: int = 2
-    world_bound_override: int = None
-    engine: str = "SEARCH"
-    timeout: float = None
 
     def __post_init__(self):
         if self.agent_universe < 1:
@@ -71,15 +67,6 @@ def _check_agents(f, cfg):
     if bad:
         raise ValueError(f"agents {sorted(bad)} outside universe "
                          f"{cfg.agent_universe}")
-
-
-class _Deadline:
-    def __init__(self, timeout):
-        self.t = None if timeout is None else time.monotonic() + timeout
-
-    def check(self):
-        if self.t is not None and time.monotonic() > self.t:
-            raise TimeoutError("solver timeout exceeded")
 
 
 # -- type-based search engine ---------------------------------------------
@@ -129,7 +116,6 @@ def sat(f, cfg=None):
     """Decide satisfiability over the configured agent universe."""
     cfg = cfg or SolverConfig()
     _check_agents(f, cfg)
-    deadline = _Deadline(cfg.timeout)
     g = syntax.expand_dstit(f)
     sf, idx, types = _types(g)
     root = idx[g]
@@ -142,8 +128,7 @@ def sat(f, cfg=None):
               if isinstance(sf[i], (Cstit, Box))}
 
     stats = {"engine": "types", "types": len(types), "groups": 0,
-             "combos": 0, "bound": 2 ** syntax.length(f),
-             "override": cfg.world_bound_override}
+             "combos": 0, "bound": 2 ** syntax.length(f)}
 
     def boxprof(t):
         return tuple(t[i] for i in box_nodes)
@@ -156,7 +141,6 @@ def sat(f, cfg=None):
         groups.setdefault(boxprof(t), []).append(t)
 
     for bp, group in sorted(groups.items(), reverse=True):
-        deadline.check()
         stats["groups"] += 1
         # settledness positives: every member must verify the body
         cand = [t for t in group
@@ -172,23 +156,24 @@ def sat(f, cfg=None):
             raise InconclusiveError(
                 "profile subset space exceeds the engine cap", stats)
         hit = _search_group(cand, agents, profiles, iprof, cstit_nodes,
-                            sub_of, box_negs, root, stats, deadline)
+                            sub_of, box_negs, root, stats)
         if hit is not None:
             u_set, t_sat = hit
             model, world = _build_witness(u_set, t_sat, sf, idx, agents,
                                           iprof, cfg)
-            assert mc(model, world, f) is True, "witness failed re-check"
-            assert len(model.worlds) <= 2 ** syntax.length(f)
+            if mc(model, world, f) is not True:
+                raise AssertionError("witness failed re-check")
+            if len(model.worlds) > 2 ** syntax.length(f):
+                raise AssertionError("witness exceeds the 2^length bound")
             stats["witness_worlds"] = len(model.worlds)
             return SatResult("SAT", (model, world), stats)
     return SatResult("UNSAT", None, stats)
 
 
 def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
-                  box_negs, root, stats, deadline):
+                  box_negs, root, stats):
     for combo in itertools.product(
             *(_subsets_desc(profiles[a]) for a in agents)):
-        deadline.check()
         stats["combos"] += 1
         allowed = {a: set(r) for a, r in zip(agents, combo)}
         u_set = [t for t in cand
@@ -265,7 +250,8 @@ def sat_single_agent(f, cfg=None):
         return res
     model, world = res.witness
     model, world = _prune_single_agent(model, world, f)
-    assert mc(model, world, f) is True
+    if mc(model, world, f) is not True:
+        raise AssertionError("pruned witness failed re-check")
     bound = syntax.length(f) ** 2
     res.stats["witness_worlds"] = len(model.worlds)
     res.stats["quadratic_bound"] = bound
@@ -477,7 +463,8 @@ def oracle(f, max_worlds, cfg=None, model_class="both"):
                 model = _frame_model(frame, v, atom_names, agents, cfg,
                                      label == "moment")
                 world = model.worlds[point]
-                assert mc(model, world, f) is True, "oracle witness failed"
+                if mc(model, world, f) is not True:
+                    raise AssertionError("oracle witness failed re-check")
                 return SatResult("SAT", (model, world), stats)
     return SatResult("UNSAT", None, stats)
 

@@ -122,7 +122,8 @@ def tr(f):
     if any(isinstance(g, Cstit) for g in subformulas(f)):
         raise ValueError("tr input must not contain [i] operators")
     out = _translate(f, Dstit)
-    assert not any(isinstance(g, Dstit) for g in subformulas(out))
+    if any(isinstance(g, Dstit) for g in subformulas(out)):
+        raise AssertionError("tr output contains a {i} operator")
     return out
 
 
@@ -132,7 +133,8 @@ def tr_prime(f):
     if any(isinstance(g, Dstit) for g in subformulas(f)):
         raise ValueError("tr_prime input must not contain {i} operators")
     out = _translate(f, Cstit)
-    assert not any(isinstance(g, Cstit) for g in subformulas(out))
+    if any(isinstance(g, Cstit) for g in subformulas(out)):
+        raise AssertionError("tr_prime output contains an [i] operator")
     return out
 
 

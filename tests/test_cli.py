@@ -71,10 +71,13 @@ def test_check_moment(capsys, moment_file):
     assert (code, out.strip()) == (1, "false")
 
 
-def test_check_btac(capsys, btac_file):
+def test_check_btac(capsys, btac_file, tmp_path):
     code, out = run(capsys, "check", btac_file, "{0}p", "--at", "m1/h1")
     assert code == 0
     assert cli.main(["check", btac_file, "p", "--at", "m1"]) == 2
+    commented = tmp_path / "c.model"
+    commented.write_text("# a leading comment\n" + BTAC)
+    assert cli.main(["check", str(commented), "{0}p", "--at", "m1/h1"]) == 0
 
 
 def test_sat_and_valid(capsys):
@@ -145,3 +148,29 @@ def test_sweep(capsys):
                     "--max-points", "3")
     assert code == 0
     assert "0 counterexamples" in out
+
+
+def test_oracle_parse_error_exit_2(capsys):
+    assert cli.main(["oracle", "(("]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+BAD_MODELS = {
+    "empty": "",
+    "comment-only": "\n# only a comment\n",
+    "overlap": "moment agents=2\nworlds: a b\npart 0: {a b} {b}\n",
+    "uncovered": "moment agents=1\nworlds: a b\npart 0: {a}\n",
+    "not-rectangular": "moment agents=2\nworlds: a b\n"
+                       "part 0: {a} {b}\npart 1: {a} {b}\n",
+    "no-gpp": "kripke agents=2\nworlds: a b c d\nrel 0: {a b} {c d}\n"
+              "rel 1: {a} {b c} {d}\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+def test_bad_model_file_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert cli.main(["check", str(path), "p", "--at", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

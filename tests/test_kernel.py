@@ -3,14 +3,8 @@ import random
 import pytest
 
 from stitkit import kernel, syntax
-from stitkit import _pykernel
 
 from helpers import random_corpus
-
-try:
-    from stitkit import _ckernel
-except ImportError:  # pragma: no cover - compiled backend optional
-    _ckernel = None
 
 
 def random_partition(rng, n):
@@ -41,8 +35,7 @@ def brute_scan(ops, args, frame, n_atoms, want_sat):
     return None
 
 
-@pytest.mark.parametrize("backend", [b for b in (_pykernel, _ckernel) if b])
-def test_backends_match_reference(backend):
+def test_scan_matches_reference():
     rng = random.Random(3)
     corpus = random_corpus(7, 60, 10)
     for f in corpus:
@@ -51,27 +44,10 @@ def test_backends_match_reference(backend):
         names = sorted(syntax.atoms(f))
         ops, args = kernel.compile_formula(
             f, {p: k for k, p in enumerate(names)}, {0: 0, 1: 1})
-        for want in (True, False):
-            got = backend.scan(ops, args, frame.n_points, frame.blocks,
-                               len(names), want)
-            assert got == brute_scan(ops, args, frame, len(names), want), \
-                syntax.pretty(f)
-
-
-@pytest.mark.skipif(_ckernel is None, reason="compiled backend not built")
-def test_pure_and_compiled_agree():
-    rng = random.Random(4)
-    for f in random_corpus(8, 80, 12):
-        frame = random_frame(rng, rng.randint(1, 4), 3)
-        names = sorted(syntax.atoms(f))
-        ops, args = kernel.compile_formula(
-            f, {p: k for k, p in enumerate(names)}, {0: 0, 1: 1})
-        for want in (True, False):
-            a = _pykernel.scan(ops, args, frame.n_points, frame.blocks,
-                               len(names), want)
-            b = _ckernel.scan(ops, args, frame.n_points, frame.blocks,
-                              len(names), want)
-            assert a == b, syntax.pretty(f)
+        assert kernel.scan_sat(ops, args, frame, len(names)) == \
+            brute_scan(ops, args, frame, len(names), True), syntax.pretty(f)
+        assert kernel.scan_valid(ops, args, frame, len(names)) == \
+            brute_scan(ops, args, frame, len(names), False), syntax.pretty(f)
 
 
 def test_unknown_atom_is_false():
@@ -111,4 +87,4 @@ def test_valuation_bit_guard():
 
 
 def test_backend_selected():
-    assert kernel.BACKEND_NAME in ("c", "py")
+    assert kernel.BACKEND_NAME == "py"

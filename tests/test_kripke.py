@@ -83,6 +83,28 @@ def test_box_classes_and_generated_submodel():
             assert mc(m, w, f) == mc(sub, w, f), pretty(f)
 
 
+def test_mc_finds_classes_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return box_classes(m)
+
+    monkeypatch.setattr(kripke, "box_classes", counting)
+    m = parse_model(TWO_CLASS.replace("agents=2", "agents=3"))
+    busy = parse("(([]p | <>q) & ([2]p | {2}~q | {0}[]p | <2>[]q))")
+    quiet = parse("([0]p & ~([1]q & p))")
+    for w in m.worlds:
+        del calls[:]
+        mc(m, w, busy)
+        assert len(calls) == 1
+        mc(m, w, quiet)
+        assert len(calls) == 1
+    del calls[:]
+    assert check_gpp(m) == []
+    assert len(calls) == 1
+
+
 def test_single_stored_agent_box_is_universal():
     m = KripkeModel(("a", "b"), {0: ({"a"}, {"b"},)}, {"p": {"a"}}, 2)
     assert len(box_classes(m)) == 1

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from stitkit import kripke, solver, syntax
@@ -130,3 +134,19 @@ def test_stats_reported():
     assert "engine" in res.stats
     res = oracle(parse("p"), 2, CFG2)
     assert res.stats["frames"] >= 1
+
+
+def test_witness_recheck_survives_optimize():
+    # Under -O a bare assert is stripped; the re-check must still raise.
+    code = ("from stitkit import solver, syntax\n"
+            "solver.mc = lambda *a: False\n"
+            "try:\n"
+            "    solver.sat(syntax.parse('p'))\n"
+            "except AssertionError:\n"
+            "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
