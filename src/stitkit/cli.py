@@ -38,11 +38,17 @@ def _load_model(path):
     return m
 
 
-def _witness_payload(witness):
-    if witness is None:
-        return None
-    model, world = witness
-    return {"world": world, "model": kripke.format_model(model)}
+def _report_verdict(args, res):
+    """Print a SatResult with its witness; exit 0 on SAT, 1 on UNSAT."""
+    witness, human = None, res.verdict
+    if res.witness:
+        model, world = res.witness
+        text = kripke.format_model(model)
+        witness = {"world": world, "model": text}
+        human += f"\nworld: {world}\n{text.rstrip()}"
+    _report(args, {"verdict": res.verdict, "stats": res.stats,
+                   "witness": witness}, human)
+    return 0 if res.verdict == "SAT" else 1
 
 
 def cmd_parse(args):
@@ -76,20 +82,9 @@ def cmd_check(args):
 def cmd_sat(args):
     f = syntax.parse(args.formula)
     cfg = SolverConfig(agent_universe=args.agents)
-    if args.engine == "oracle":
-        res = solver.oracle(f, args.max_worlds, cfg)
-    elif args.agents == 1 and len(syntax.agents(f)) <= 1:
-        res = solver.sat_single_agent(f, cfg)
-    else:
-        res = solver.sat(f, cfg)
-    payload = {"verdict": res.verdict, "stats": res.stats,
-               "witness": _witness_payload(res.witness)}
-    human = res.verdict
-    if res.witness:
-        human += "\nworld: " + res.witness[1]
-        human += "\n" + kripke.format_model(res.witness[0]).rstrip()
-    _report(args, payload, human)
-    return 0 if res.verdict == "SAT" else 1
+    if args.agents == 1 and len(syntax.agents(f)) <= 1:
+        return _report_verdict(args, solver.sat_single_agent(f, cfg))
+    return _report_verdict(args, solver.sat(f, cfg))
 
 
 def cmd_valid(args):
@@ -112,8 +107,6 @@ def cmd_filter(args):
     m = _load_model(args.modelfile)
     if isinstance(m, btac.BtacModel):
         raise ValueError("filter expects a kripke or moment model")
-    if isinstance(m, kripke.MomentModel):
-        m = kripke.moment_to_kripke(m)
     f = syntax.parse(args.formula)
     out = kripke.filtrate(m, f)
     text = kripke.format_model(out)
@@ -155,14 +148,7 @@ def cmd_oracle(args):
         agents = max(syntax.agents(f), default=0) + 1
     res = solver.oracle(f, args.max_worlds,
                         SolverConfig(agent_universe=agents))
-    payload = {"verdict": res.verdict, "stats": res.stats,
-               "witness": _witness_payload(res.witness)}
-    human = res.verdict
-    if res.witness:
-        human += "\nworld: " + res.witness[1]
-        human += "\n" + kripke.format_model(res.witness[0]).rstrip()
-    _report(args, payload, human)
-    return 0 if res.verdict == "SAT" else 1
+    return _report_verdict(args, res)
 
 
 def cmd_sweep(args):
@@ -210,11 +196,6 @@ def build_parser():
         p.add_argument("formula")
         p.add_argument("--agents", type=int, required=True,
                        help="size of the agent universe")
-        if name == "sat":
-            p.add_argument("--engine", choices=["search", "oracle"],
-                           default="search")
-            p.add_argument("--max-worlds", type=int, default=3,
-                           help="world cap for --engine oracle")
 
     p = add("translate", cmd_translate, help="translate between languages")
     p.add_argument("formula")
@@ -261,6 +242,9 @@ def main(argv=None):
         return 3
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

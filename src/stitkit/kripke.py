@@ -1,6 +1,6 @@
 """Kripke models with per-agent equivalence relations and the general
-permutation property (GPP), plus the single-moment specialization the
-solver searches.
+permutation property (GPP).  A MomentModel is a KripkeModel with one
+settledness class, the kind the solver builds its witnesses from.
 
 Settledness is derived, not stored.  With at least two stored agents the
 settledness classes are the connected components of the union of the
@@ -10,6 +10,12 @@ be universal over the whole world set; this single-agent convention is
 documented in the README.  Agents within the declared universe that carry
 no stored relation are *padded*: they act universally inside each
 settledness class.
+
+Model files are line-oriented: a header ``kripke agents=N`` or
+``moment agents=N``, a ``worlds:`` line, one ``rel A:`` (``part A:`` in
+a moment file) line of ``{...}`` cells per stored agent, and ``val P:``
+lines listing the worlds where an atom holds.  Lines starting with ``#``
+are comments.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ class KripkeModel:
 
     ``relations`` maps an agent index to a partition, given as a tuple of
     frozensets of worlds.  ``agent_universe`` is the size of the agent
-    set; it must exceed every stored agent index.
+    set; it must exceed every stored agent index, and defaults to one
+    past the largest stored agent (at least 1).
     """
 
     worlds: tuple
     relations: dict
     valuation: dict
-    agent_universe: int
+    agent_universe: int = None
 
     def __post_init__(self):
         self.worlds = tuple(self.worlds)
@@ -41,6 +48,8 @@ class KripkeModel:
                           for a, cells in self.relations.items()}
         self.valuation = {p: frozenset(ws)
                           for p, ws in self.valuation.items()}
+        if self.agent_universe is None:
+            self.agent_universe = max(self.relations, default=0) + 1
         if self.agent_universe < 1:
             raise ValueError("agent_universe must be at least 1")
         for a in self.relations:
@@ -61,33 +70,13 @@ class KripkeModel:
         raise KeyError(w)
 
 
-@dataclass
-class MomentModel:
-    """Single settledness class: worlds with per-agent choice partitions.
+class MomentModel(KripkeModel):
+    """A KripkeModel with a single settledness class.
 
-    Settledness is universal over the worlds.  ``agent_universe`` defaults
-    to one past the largest stored agent (at least 1).
+    Its partitions meet rectangularly: every choice of one cell per
+    stored agent intersects.  Model files write it with the ``moment``
+    header and ``part`` lines.
     """
-
-    worlds: tuple
-    partitions: dict
-    valuation: dict
-    agent_universe: int = None
-
-    def __post_init__(self):
-        self.worlds = tuple(self.worlds)
-        self.partitions = {a: tuple(frozenset(c) for c in cells)
-                           for a, cells in self.partitions.items()}
-        self.valuation = {p: frozenset(ws)
-                          for p, ws in self.valuation.items()}
-        if self.agent_universe is None:
-            self.agent_universe = max(self.partitions, default=0) + 1
-
-    def cell(self, agent, w):
-        for c in self.partitions[agent]:
-            if w in c:
-                return c
-        raise KeyError(w)
 
 
 def _check_partition(worlds, cells, label):
@@ -116,10 +105,9 @@ def check_equivalence(m):
     Relations are stored as partitions, so this amounts to checking the
     partition shape.
     """
-    stored = m.partitions if isinstance(m, MomentModel) else m.relations
     out = []
-    for a in sorted(stored):
-        out.extend(_check_partition(m.worlds, stored[a], f"agent {a}"))
+    for a in sorted(m.relations):
+        out.extend(_check_partition(m.worlds, m.relations[a], f"agent {a}"))
     return out
 
 
@@ -127,11 +115,10 @@ def box_classes(m):
     """Settledness classes of a model, as a list of frozensets.
 
     Components of the union of the stored relations when two or more
-    agents are stored; the whole world set otherwise.
+    agents are stored; the whole world set for a MomentModel or when at
+    most one agent is stored.
     """
-    if isinstance(m, MomentModel):
-        return [frozenset(m.worlds)]
-    if len(m.relations) < 2:
+    if isinstance(m, MomentModel) or len(m.relations) < 2:
         return [frozenset(m.worlds)]
     parent = {w: w for w in m.worlds}
 
@@ -168,8 +155,7 @@ def _class_lookup(m):
 def _agent_cell(m, agent, w, class_of):
     """Class of w for any agent in the universe; padded agents act
     universally inside the settledness class given by ``class_of``."""
-    stored = m.partitions if isinstance(m, MomentModel) else m.relations
-    if agent in stored:
+    if agent in m.relations:
         return m.cell(agent, w)
     if not 0 <= agent < m.agent_universe:
         raise ValueError(f"agent {agent} outside universe "
@@ -187,8 +173,7 @@ def check_gpp(m):
     eq = check_equivalence(m)
     if eq:
         raise ValueError("not equivalence relations: " + "; ".join(eq))
-    stored = sorted(m.partitions if isinstance(m, MomentModel)
-                    else m.relations)
+    stored = sorted(m.relations)
     agents = list(stored)
     if m.agent_universe > len(stored):
         padded = next(a for a in range(m.agent_universe)
@@ -315,7 +300,7 @@ def filtrate_with_map(m, f):
 def check_rectangular(m):
     """Rectangularity violations of a MomentModel, as tuples of cells
     (one per stored agent) with empty intersection."""
-    agents = sorted(m.partitions)
+    agents = sorted(m.relations)
     out = []
 
     def walk(k, chosen, inter):
@@ -324,7 +309,7 @@ def check_rectangular(m):
             return
         if k == len(agents):
             return
-        for c in m.partitions[agents[k]]:
+        for c in m.relations[agents[k]]:
             walk(k + 1, chosen + [c], inter & c)
 
     walk(0, [], set(m.worlds))
@@ -349,15 +334,6 @@ def validate_model(m):
             out.append(f"permutation property fails at w={w} v={v} "
                        f"l={l} m={mm} n={n}")
     return out
-
-
-def moment_to_kripke(m):
-    """View a MomentModel as a KripkeModel over the same worlds."""
-    bad = check_rectangular(m)
-    if bad:
-        raise ValueError(f"partitions not rectangular, witness {bad[0]}")
-    return KripkeModel(m.worlds, dict(m.partitions), dict(m.valuation),
-                       m.agent_universe)
 
 
 # -- text format ---------------------------------------------------------
@@ -411,13 +387,12 @@ def parse_model(text):
 
 
 def format_model(m):
-    kind = "moment" if isinstance(m, MomentModel) else "kripke"
-    relkey = "part" if kind == "moment" else "rel"
-    stored = m.partitions if isinstance(m, MomentModel) else m.relations
+    kind, relkey = (("moment", "part") if isinstance(m, MomentModel)
+                    else ("kripke", "rel"))
     lines = [f"{kind} agents={m.agent_universe}",
              "worlds: " + " ".join(m.worlds)]
-    for a in sorted(stored):
-        cells = sorted(stored[a], key=lambda c: sorted(c))
+    for a in sorted(m.relations):
+        cells = sorted(m.relations[a], key=lambda c: sorted(c))
         body = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
         lines.append(f"{relkey} {a}: {body}")
     for p in sorted(m.valuation):

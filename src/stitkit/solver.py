@@ -16,15 +16,15 @@ and checks the closure conditions directly.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
 
-The oracle is an unrelated brute force: it enumerates whole frames up to
-a world cap (single-moment frames, and separately general multi-class
-frames) and sweeps all valuations through the compiled kernel.
+The oracle is an unrelated brute force: at each world count up to a cap
+it walks one list of frames with the permutation property, the
+single-class (moment) frames first, and sweeps all valuations through the
+scan kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,7 +33,7 @@ from .btac import set_partitions
 from .kripke import KripkeModel, MomentModel, mc
 from .syntax import And, Atom, Box, Cstit, Not
 
-ORACLE_MAX_WORLDS = int(os.environ.get("STITKIT_MAX_ORACLE", "5"))
+ORACLE_MAX_WORLDS = 5
 ENGINE_MAX_LEAVES = 22
 ENGINE_MAX_COMBOS = 1 << 22
 
@@ -84,7 +84,8 @@ def _types(g):
               if isinstance(s, (Atom, Cstit, Box))]
     if len(leaves) > ENGINE_MAX_LEAVES:
         raise InconclusiveError(
-            f"{len(leaves)} independent subformulas exceed the engine cap")
+            f"{len(leaves)} independent subformulas exceed the engine cap",
+            {"cap": "leaves", "leaves": len(leaves)})
     out = []
     for bits in range(1 << len(leaves)):
         val = [False] * len(sf)
@@ -153,6 +154,7 @@ def sat(f, cfg=None):
         for a in agents:
             subset_space *= 2 ** len(profiles[a])
         if subset_space > ENGINE_MAX_COMBOS:
+            stats["cap"] = "combos"
             raise InconclusiveError(
                 "profile subset space exceeds the engine cap", stats)
         hit = _search_group(cand, agents, profiles, iprof, cstit_nodes,
@@ -279,9 +281,8 @@ def _prune_single_agent(model, world, f):
                     keep.add(next(u for u in sorted(cell)
                                   if not mc(model, u, s.sub)))
     order = [w for w in model.worlds if w in keep]
-    partitions = {a: tuple(c & keep for c in model.partitions[a]
-                           if c & keep)
-                  for a in model.partitions}
+    partitions = {a: tuple(c & keep for c in cells if c & keep)
+                  for a, cells in model.relations.items()}
     valuation = {p: ws & keep for p, ws in model.valuation.items()}
     return MomentModel(tuple(order), partitions, valuation,
                        model.agent_universe), world
@@ -393,17 +394,20 @@ def moment_frames(n, n_agents):
 
 @lru_cache(maxsize=None)
 def general_frames(n, n_agents):
-    """Multi-class frames with the permutation property, deduplicated.
+    """Every frame with the permutation property, deduplicated: the
+    moment frames first, then the multi-class ones.
 
-    With fewer than two agents the settledness relation is universal by
-    convention, so this coincides with moment_frames."""
+    Under GPP a frame has one settledness class exactly when its
+    partitions are rectangular, so the moment frames are the one-class
+    frames.  With fewer than two agents the settledness relation is
+    universal by convention, so this coincides with moment_frames."""
     if n_agents < 2:
         return moment_frames(n, max(n_agents, 0))
     seen = set()
-    out = []
+    out = list(moment_frames(n, n_agents))
     for parts in itertools.product(*(
             _mask_partitions(n) for _ in range(n_agents))):
-        if not _frame_gpp(parts, n):
+        if _rectangular(parts) or not _frame_gpp(parts, n):
             continue
         key = _canonical(parts, n)
         if key in seen:
@@ -413,7 +417,7 @@ def general_frames(n, n_agents):
     return tuple(out)
 
 
-def _frame_model(frame, v, atom_names, agents, cfg, moment):
+def _frame_model(frame, v, atom_names, agents, cfg):
     n = frame.n_points
     names = tuple(f"w{i}" for i in range(n))
 
@@ -424,12 +428,11 @@ def _frame_model(frame, v, atom_names, agents, cfg, moment):
             for k, a in enumerate(agents)}
     val_masks = kernel.decode_valuation(v, n, atom_names)
     valuation = {p: unmask(m) for p, m in val_masks.items()}
-    if moment:
-        return MomentModel(names, rels, valuation, cfg.agent_universe)
-    return KripkeModel(names, rels, valuation, cfg.agent_universe)
+    cls = MomentModel if len(frame.blocks[-1]) == 1 else KripkeModel
+    return cls(names, rels, valuation, cfg.agent_universe)
 
 
-def oracle(f, max_worlds, cfg=None, model_class="both"):
+def oracle(f, max_worlds, cfg=None):
     """Independent brute force: every frame up to max_worlds, every
     valuation of the formula's atoms, streamed through the kernel."""
     cfg = cfg or SolverConfig()
@@ -446,26 +449,19 @@ def oracle(f, max_worlds, cfg=None, model_class="both"):
     ops, args = kernel.compile_formula(
         f, {p: k for k, p in enumerate(atom_names)},
         {a: k for k, a in enumerate(agents)})
-    classes = []
-    if model_class in ("both", "moment"):
-        classes.append(("moment", moment_frames))
-    if model_class in ("both", "general"):
-        classes.append(("general", general_frames))
     stats = {"engine": "oracle", "frames": 0, "max_worlds": max_worlds}
     for n in range(1, max_worlds + 1):
-        for label, frames_of in classes:
-            for frame in frames_of(n, len(agents)):
-                stats["frames"] += 1
-                hit = kernel.scan_sat(ops, args, frame, len(atom_names))
-                if hit is None:
-                    continue
-                v, point = hit
-                model = _frame_model(frame, v, atom_names, agents, cfg,
-                                     label == "moment")
-                world = model.worlds[point]
-                if mc(model, world, f) is not True:
-                    raise AssertionError("oracle witness failed re-check")
-                return SatResult("SAT", (model, world), stats)
+        for frame in general_frames(n, len(agents)):
+            stats["frames"] += 1
+            hit = kernel.scan_sat(ops, args, frame, len(atom_names))
+            if hit is None:
+                continue
+            v, point = hit
+            model = _frame_model(frame, v, atom_names, agents, cfg)
+            world = model.worlds[point]
+            if mc(model, world, f) is not True:
+                raise AssertionError("oracle witness failed re-check")
+            return SatResult("SAT", (model, world), stats)
     return SatResult("UNSAT", None, stats)
 
 

@@ -142,20 +142,9 @@ def _tokenize(text):
             if not rest:
                 break
             raise SyntaxError_(f"unexpected input {rest[:10]!r}", pos)
-        kind = m.lastgroup
-        for name in ("lpar", "rpar", "iff", "imp", "and", "or", "not",
-                     "box", "dia", "atom"):
-            if m.group(name):
-                kind = name
-                break
-        else:
-            if m.group("cstit"):
-                kind = "cstit"
-            elif m.group("poscstit"):
-                kind = "poscstit"
-            else:
-                kind = "dstit"
-        tokens.append((kind, m, m.start()))
+        # every alternative is one named group that closes last, so
+        # lastgroup names the token kind
+        tokens.append((m.lastgroup, m, m.start()))
         pos = m.end()
     tokens.append(("eof", None, len(text)))
     return tokens

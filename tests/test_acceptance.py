@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from stitkit import axioms, kripke, solver, syntax, translate
+from stitkit import axioms, solver, syntax, translate
 from stitkit.kripke import MomentModel, filtrate_with_map, mc
 from stitkit.solver import SolverConfig
 from stitkit.syntax import (And, Atom, Box, Cstit, Dstit, Not, length,
@@ -87,7 +87,7 @@ def _random_generated_model(rng, atoms=("p", "q")):
                       for c in range(cols))}
     val = {p: frozenset(w for w in worlds if rng.random() < 0.5)
            for p in atoms}
-    return kripke.moment_to_kripke(MomentModel(worlds, parts, val, 2))
+    return MomentModel(worlds, parts, val, 2)
 
 
 def test_criterion_3_filtration_bound(capsys):

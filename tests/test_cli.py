@@ -100,8 +100,9 @@ def test_sat_json_witness_parses(capsys):
 
 
 def test_sat_oracle_engine(capsys):
+    # the oracle has one route, its own subcommand
     assert cli.main(["sat", "{0}p", "--agents", "2", "--engine", "oracle",
-                     "--max-worlds", "2"]) == 0
+                     "--max-worlds", "2"]) == 2
 
 
 def test_sat_inconclusive_exit_3(capsys):
@@ -141,6 +142,8 @@ def test_axiom(capsys):
 def test_oracle(capsys):
     assert cli.main(["oracle", "{0}p", "--max-worlds", "3"]) == 0
     assert cli.main(["oracle", "(p & ~p)", "--max-worlds", "2"]) == 1
+    assert cli.main(["oracle", "{0}p", "--agents", "2",
+                     "--max-worlds", "2"]) == 0
 
 
 def test_sweep(capsys):
@@ -155,6 +158,20 @@ def test_oracle_parse_error_exit_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+DEEP_FORMULAS = {
+    "parse": ["parse", "~" * 3000 + "p"],
+    "translate": ["translate", "[0]~" * 300 + "p", "--to", "dstit"],
+    "sat": ["sat", "~" * 600 + "p", "--agents", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", DEEP_FORMULAS.values(),
+                         ids=DEEP_FORMULAS.keys())
+def test_deep_formula_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
 BAD_MODELS = {
     "empty": "",
     "comment-only": "\n# only a comment\n",
@@ -164,6 +181,10 @@ BAD_MODELS = {
                        "part 0: {a} {b}\npart 1: {a} {b}\n",
     "no-gpp": "kripke agents=2\nworlds: a b c d\nrel 0: {a b} {c d}\n"
               "rel 1: {a} {b c} {d}\n",
+    "moment-agent-outside-universe": "moment agents=1\nworlds: a b\n"
+                                     "part 0: {a b}\npart 1: {a} {b}\n",
+    "moment-val-unknown-world": "moment agents=1\nworlds: a b\n"
+                                "part 0: {a b}\nval p: a z\n",
 }
 
 

@@ -7,7 +7,7 @@ from stitkit.kripke import (KripkeModel, MomentModel, box_classes,
                             check_equivalence, check_gpp,
                             check_rectangular, filtrate, filtrate_with_map,
                             format_model, generated_submodel, mc,
-                            moment_to_kripke, parse_model)
+                            parse_model)
 from stitkit.syntax import parse, pretty, subformulas
 
 from helpers import random_corpus
@@ -114,7 +114,7 @@ def test_single_stored_agent_box_is_universal():
 
 def test_check_gpp():
     good = parse_model(PRODUCT)
-    assert check_gpp(moment_to_kripke(good)) == []
+    assert check_gpp(good) == []
     bad = KripkeModel(
         ("a", "b", "c"),
         {0: ({"a", "b"}, {"c"}), 1: ({"b", "c"}, {"a"})},
@@ -132,7 +132,7 @@ def test_check_rectangular():
 
 def test_equivalence_checker():
     m = parse_model(PRODUCT)
-    assert check_equivalence(moment_to_kripke(m)) == []
+    assert check_equivalence(m) == []
 
 
 def random_product_model(rng, rows, cols, atoms=("p", "q")):
@@ -145,7 +145,7 @@ def random_product_model(rng, rows, cols, atoms=("p", "q")):
     }
     val = {p: frozenset(w for w in worlds if rng.random() < 0.5)
            for p in atoms}
-    return moment_to_kripke(MomentModel(worlds, parts, val, 2))
+    return MomentModel(worlds, parts, val, 2)
 
 
 def test_filtration_preserves_truth_and_bound():
@@ -167,11 +167,13 @@ def test_filtrate_requires_generated_gpp_model():
         filtrate(two, parse("p"))
 
 
-def test_moment_to_kripke():
+def test_moment_and_kripke_files_agree():
     m = parse_model(PRODUCT)
-    k = moment_to_kripke(m)
-    assert isinstance(k, KripkeModel)
-    assert set(k.relations) == {0, 1}
+    k = parse_model(PRODUCT.replace("moment", "kripke")
+                    .replace("part", "rel"))
+    assert isinstance(m, MomentModel)
+    assert type(k) is KripkeModel
+    assert k.relations == m.relations
     for f in random_corpus(24, 40, 8):
         for w in m.worlds:
             assert mc(m, w, f) == mc(k, w, f)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from stitkit import kripke, solver, syntax
+from stitkit import kernel, kripke, solver, syntax
 from stitkit.kripke import mc
 from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
                             moment_frames, oracle, product_sat, sat,
@@ -61,11 +61,40 @@ def test_engine_matches_oracle_random():
         assert sat(f, CFG2).verdict == want, pretty(f)
 
 
+def _satisfiable_in(f, frames_of, max_worlds):
+    agents = sorted(syntax.agents(f))
+    atom_names = sorted(syntax.atoms(f))
+    ops, args = kernel.compile_formula(
+        f, {p: k for k, p in enumerate(atom_names)},
+        {a: k for k, a in enumerate(agents)})
+    return any(kernel.scan_sat(ops, args, frame, len(atom_names))
+               for n in range(1, max_worlds + 1)
+               for frame in frames_of(n, len(agents)))
+
+
 def test_oracle_moment_and_general_agree():
     for f in random_corpus(33, 80, 8):
-        a = oracle(f, 3, CFG2, model_class="moment").verdict
-        b = oracle(f, 3, CFG2, model_class="general").verdict
+        a = _satisfiable_in(f, moment_frames, 3)
+        b = _satisfiable_in(f, general_frames, 3)
         assert a == b, pretty(f)
+
+
+def test_oracle_scans_each_frame_once():
+    f = parse("(([0]p & [1]q) & (r & ~r))")
+    res = oracle(f, 3, CFG2)
+    assert res.verdict == "UNSAT"
+    assert res.stats["frames"] == sum(len(general_frames(n, 2))
+                                      for n in range(1, 4))
+
+
+def test_general_frames_extend_moment_frames():
+    for n_agents in (2, 3):
+        for n in range(1, 5):
+            moment = moment_frames(n, n_agents)
+            general = general_frames(n, n_agents)
+            assert general[:len(moment)] == moment
+            assert all(len(fr.blocks[-1]) > 1
+                       for fr in general[len(moment):])
 
 
 def test_frame_counts():
@@ -101,7 +130,7 @@ def test_single_agent():
 def test_single_agent_matches_oracle():
     cfg1 = SolverConfig(agent_universe=1)
     for f in random_corpus(36, 80, 9, agents=(0,)):
-        want = oracle(f, 3, cfg1, model_class="moment").verdict
+        want = oracle(f, 3, cfg1).verdict
         assert sat_single_agent(f, cfg1).verdict == want, pretty(f)
 
 
@@ -125,8 +154,16 @@ def test_conservative_over_universe():
 
 def test_inconclusive_on_giant_formula():
     f = syntax.conjoin([parse(f"[0]a{i}") for i in range(30)])
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError) as leaves:
         sat(f, CFG2)
+    assert leaves.value.stats == {"cap": "leaves", "leaves": 60}
+    # 32 profiles per agent: 2**64 subset combinations in one group
+    f = parse("(" + " | ".join(f"[{a}]{p}" for a in (0, 1)
+                               for p in "pqrst") + ")")
+    with pytest.raises(InconclusiveError) as combos:
+        sat(f, CFG2)
+    assert combos.value.stats["cap"] == "combos"
+    assert combos.value.stats["groups"] == 1
 
 
 def test_stats_reported():
