@@ -38,6 +38,14 @@ def _load_model(path):
     return m
 
 
+def _progress(stats):
+    """The cap a search hit and how far it got, for the stderr line."""
+    done = ", ".join(f"{k} {stats[k]}"
+                     for k in ("leaves", "types", "groups", "combos")
+                     if k in stats)
+    return f"cap: {stats.get('cap', '?')}; {done}"
+
+
 def _report_verdict(args, res):
     """Print a SatResult with its witness; exit 0 on SAT, 1 on UNSAT."""
     witness, human = None, res.verdict
@@ -238,7 +246,10 @@ def main(argv=None):
     try:
         return args.fn(args)
     except InconclusiveError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"verdict": "INCONCLUSIVE", "stats": e.stats},
+                             sort_keys=True))
+        print(f"inconclusive: {e} ({_progress(e.stats)})", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,6 +16,13 @@ and checks the closure conditions directly.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
 
+Both inner loops are bit-parallel on Python integers.  _types evaluates
+each subformula as a bit column over 2**_CHUNK_BITS leaf assignments at
+a time, so a connective or a T constraint is one big-int operation per
+chunk.  _search_group holds sets of candidate types as bitsets, so a
+combination of profile subsets costs a few ANDs and ORs.  The scalar
+loops they replaced are kept in the tests as references.
+
 The oracle is an unrelated brute force: at each world count up to a cap
 it walks one list of frames with the permutation property, the
 single-class (moment) frames first, and sweeps all valuations through the
@@ -29,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import kernel, syntax
+from ._pykernel import _slot_lsb
 from .btac import set_partitions
 from .kripke import KripkeModel, MomentModel, mc
 from .syntax import And, Atom, Box, Cstit, Not
@@ -36,6 +44,10 @@ from .syntax import And, Atom, Box, Cstit, Not
 ORACLE_MAX_WORLDS = 5
 ENGINE_MAX_LEAVES = 22
 ENGINE_MAX_COMBOS = 1 << 22
+# _types evaluates 2**_CHUNK_BITS leaf assignments per bit column
+_CHUNK_BITS = 10
+_LEAF, _NOT, _AND = range(3)
+_ONE = "1".__eq__  # a binary digit as a bool
 
 
 class InconclusiveError(Exception):
@@ -74,9 +86,17 @@ def _check_agents(f, cfg):
 def _types(g):
     """All locally coherent truth assignments over the subformulas of g.
 
-    Returns (sf, leaf positions, list of value tuples).  Coherence means
-    boolean clauses hold exactly and every true modal formula has a true
-    body (the T constraint).
+    Returns (sf, idx, types): the subformulas in post-order, their
+    positions, and one tuple of truth values per coherent assignment.
+    Coherence means boolean clauses hold exactly and every true modal
+    formula has a true body (the T constraint).
+
+    The leaves (atoms, [i]- and []-subformulas) take every assignment
+    once.  Assignments are taken in chunks of 2**_CHUNK_BITS over the
+    high leaf bits; within a chunk every subformula is one bit column,
+    bit b holding its value under assignment base + b, so a connective
+    or a T constraint costs one big-int operation per chunk.  The types
+    come out in ascending assignment order.
     """
     sf = syntax.subformulas(g)
     idx = {s: i for i, s in enumerate(sf)}
@@ -86,23 +106,44 @@ def _types(g):
         raise InconclusiveError(
             f"{len(leaves)} independent subformulas exceed the engine cap",
             {"cap": "leaves", "leaves": len(leaves)})
+    leaf_of = {i: k for k, i in enumerate(leaves)}
+    # (op, x, y): a leaf is (_LEAF, leaf number, body position or -1)
+    prog = []
+    for i, s in enumerate(sf):
+        if isinstance(s, Not):
+            prog.append((_NOT, idx[s.sub], 0))
+        elif isinstance(s, And):
+            prog.append((_AND, idx[s.left], idx[s.right]))
+        else:
+            prog.append((_LEAF, leaf_of[i],
+                         -1 if isinstance(s, Atom) else idx[s.sub]))
+    c = min(len(leaves), _CHUNK_BITS)
+    width = 1 << c
+    full = (1 << width) - 1
+    top = 1 << width
+    pattern = [_slot_lsb(1 << (c - k - 1), 1 << (k + 1))
+               * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(c)]
     out = []
-    for bits in range(1 << len(leaves)):
-        val = [False] * len(sf)
-        for k, i in enumerate(leaves):
-            val[i] = bool((bits >> k) & 1)
-        ok = True
-        for i, s in enumerate(sf):
-            if isinstance(s, Not):
-                val[i] = not val[idx[s.sub]]
-            elif isinstance(s, And):
-                val[i] = val[idx[s.left]] and val[idx[s.right]]
-            elif isinstance(s, (Cstit, Box)) and val[i] \
-                    and not val[idx[s.sub]]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(val))
+    col = [0] * len(sf)
+    for base in range(0, 1 << len(leaves), width):
+        ok = full
+        for i, (op, x, y) in enumerate(prog):
+            if op == _LEAF:
+                v = pattern[x] if x < c else full if base >> x & 1 else 0
+                if y >= 0:
+                    ok &= ~v | col[y]
+            elif op == _NOT:
+                v = full ^ col[x]
+            else:
+                v = col[x] & col[y]
+            col[i] = v
+        if not ok:
+            continue
+        # binary digits, lowest first: bit b of a column at index b
+        pos = [b for b, ch in enumerate(bin(ok)[:1:-1]) if ch == "1"]
+        digits = [bin(v | top)[:2:-1] for v in col]
+        out.extend(zip(*(map(_ONE, map(d.__getitem__, pos))
+                         for d in digits)))
     return sf, idx, out
 
 
@@ -174,37 +215,57 @@ def sat(f, cfg=None):
 
 def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
                   box_negs, root, stats):
-    for combo in itertools.product(
-            *(_subsets_desc(profiles[a]) for a in agents)):
+    """First combination of profile subsets, one per agent, whose types
+    close into a model; returns (u_set, t_sat) or None.
+
+    Sets of types are bitsets over the positions of cand.  For each agent
+    and profile one mask holds the candidates with that profile, and the
+    mask of the candidates where a subformula holds is built the first
+    time a check reads it.  Combinations come in the order of
+    itertools.product over _subsets_desc, one count each.
+    """
+    everyone = (1 << len(cand)) - 1
+    holds = {}
+
+    def col(n):
+        m = holds.get(n)
+        if m is None:
+            m = holds[n] = sum(1 << j for j, t in enumerate(cand) if t[n])
+        return m
+
+    # per agent: (subset, its profile masks, their union), largest first
+    choices = []
+    for a in agents:
+        masks = dict.fromkeys(profiles[a], 0)
+        for j, t in enumerate(cand):
+            masks[iprof(t, a)] |= 1 << j
+        opts = []
+        for rs in _subsets_desc(profiles[a]):
+            ms = [masks[r] for r in rs]
+            union = 0
+            for m in ms:
+                union |= m
+            opts.append((rs, ms, union))
+        choices.append(opts)
+    bodies = [[sub_of[pos] for pos in cstit_nodes[a]] for a in agents]
+    root_mask = col(root)
+    for combo in itertools.product(*choices):
         stats["combos"] += 1
-        allowed = {a: set(r) for a, r in zip(agents, combo)}
-        u_set = [t for t in cand
-                 if all(iprof(t, a) in allowed[a] for a in agents)]
-        if not u_set:
-            continue
-        realized = {tuple(iprof(t, a) for a in agents) for t in u_set}
-        if any(tup not in realized for tup in itertools.product(*combo)):
-            continue
-        if any(all(t[n] for t in u_set) for n in box_negs):
-            continue
-        ok = True
-        for a, rs in zip(agents, combo):
-            for r in rs:
-                cell = [t for t in u_set if iprof(t, a) == r]
-                for pos, v in zip(cstit_nodes[a], r):
-                    if not v and all(t[sub_of[pos]] for t in cell):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        t_sat = next((t for t in u_set if t[root]), None)
-        if t_sat is None:
-            continue
-        return u_set, t_sat
+        u = everyone
+        for _, _, union in combo:
+            u &= union
+        hit = u & root_mask
+        # f holds somewhere, every choice of one profile per agent is
+        # realized, every false [] and every false [a] in a chosen cell
+        # is refuted
+        if (hit and _rectangular([ms for _, ms, _ in combo])
+                and all(u & ~col(n) for n in box_negs)
+                and all(u & m & ~col(sub)
+                        for (rs, ms, _), subs in zip(combo, bodies)
+                        for r, m in zip(rs, ms)
+                        for v, sub in zip(r, subs) if not v)):
+            u_set = [t for j, t in enumerate(cand) if u >> j & 1]
+            return u_set, cand[(hit & -hit).bit_length() - 1]
     return None
 
 

@@ -105,9 +105,30 @@ def test_sat_oracle_engine(capsys):
                      "--max-worlds", "2"]) == 2
 
 
+INCONCLUSIVE = {
+    # 60 leaves, over the cap of 22
+    "leaves": (" & ".join(f"[0]a{i}" for i in range(30)),
+               "60 independent subformulas exceed the engine cap "
+               "(cap: leaves; leaves 60)"),
+    # 32 profiles per agent: 2**64 subset combinations in one group
+    "combos": (" | ".join(f"[{a}]{p}" for a in (0, 1) for p in "pqrst"),
+               "profile subset space exceeds the engine cap "
+               "(cap: combos; types 3125, groups 1, combos 0)"),
+}
+
+
 def test_sat_inconclusive_exit_3(capsys):
-    big = " & ".join(f"[0]a{i}" for i in range(30))
-    assert cli.main(["sat", f"({big})", "--agents", "2"]) == 3
+    for cap, (text, message) in INCONCLUSIVE.items():
+        assert cli.main(["sat", f"({text})", "--agents", "2"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"inconclusive: {message}\n"
+        assert cli.main(["sat", "--json", f"({text})", "--agents", "2"]) == 3
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        assert payload["verdict"] == "INCONCLUSIVE"
+        assert payload["stats"]["cap"] == cap
+        assert out.err == f"inconclusive: {message}\n"
 
 
 def test_translate(capsys):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,8 @@ from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
                             sat_single_agent, valid)
 from stitkit.syntax import length, parse, pretty
 
-from helpers import random_corpus
+from helpers import (exhaustive_formulas, random_corpus, reference_search_group,
+                     reference_types)
 
 CFG2 = SolverConfig(agent_universe=2)
 CFG3 = SolverConfig(agent_universe=3)
@@ -187,3 +189,82 @@ def test_witness_recheck_survives_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def _leaves(g):
+    return sum(isinstance(s, (syntax.Atom, syntax.Cstit, syntax.Box))
+               for s in syntax.subformulas(g))
+
+
+def _assert_types_match(g):
+    sf, idx, types = solver._types(g)
+    ref_sf, ref_idx, ref_types = reference_types(g)
+    assert (sf, idx) == (ref_sf, ref_idx), pretty(g)
+    assert types == ref_types, pretty(g)
+    assert all(type(v) is bool for t in types for v in t)
+
+
+def test_types_match_reference_exhaustive():
+    for f in exhaustive_formulas(8):
+        _assert_types_match(syntax.expand_dstit(f))
+
+
+def test_types_match_reference_around_chunk_size():
+    # one chunk with room to spare, exactly one full chunk, several chunks
+    chunk = solver._CHUNK_BITS
+    want = {chunk - 3: 3, chunk: 3, chunk + 2: 3}
+    names = tuple("pqrstuvw")
+    for f in random_corpus(37, 4000, 40, atom_names=names,
+                           agents=(0, 1, 2)):
+        g = syntax.expand_dstit(f)
+        n = _leaves(g)
+        if want.get(n):
+            want[n] -= 1
+            _assert_types_match(g)
+    assert not any(want.values()), want
+
+
+def test_types_near_leaf_cap():
+    f = syntax.conjoin([parse(f"[0]a{i}") for i in range(10)])
+    assert _leaves(f) == 20
+    start = time.perf_counter()
+    _, _, types = solver._types(f)
+    elapsed = time.perf_counter() - start
+    assert len(types) == 3 ** 10
+    # on a 2-vCPU virtual machine: about 0.25 s; reference_types, one
+    # assignment at a time, takes about 6.6 s
+    assert elapsed < 3.0, elapsed
+
+
+def _outcome(f, cfg):
+    res = sat(f, cfg)
+    if res.witness is None:
+        return res.verdict, None, None, res.stats
+    model, world = res.witness
+    return res.verdict, kripke.format_model(model), world, res.stats
+
+
+def _assert_sat_matches_reference(formulas, cfg):
+    fast = [_outcome(f, cfg) for f in formulas]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_types",
+                   lambda g: calls.append(g) or reference_types(g))
+        mp.setattr(solver, "_search_group", reference_search_group)
+        slow = [_outcome(f, cfg) for f in formulas]
+    assert len(calls) == len(formulas)
+    for f, a, b in zip(formulas, fast, slow):
+        assert a == b, pretty(f)
+
+
+def test_sat_matches_reference_exhaustive():
+    _assert_sat_matches_reference(list(exhaustive_formulas(7)), CFG2)
+
+
+def test_sat_matches_reference_three_agents():
+    formulas = [f for f in random_corpus(38, 1000, 30,
+                                         atom_names=("p", "q", "r"),
+                                         agents=(0, 1, 2))
+                if len(syntax.agents(f)) == 3][:50]
+    assert len(formulas) == 50
+    _assert_sat_matches_reference(formulas, CFG3)
