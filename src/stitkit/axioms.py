@@ -74,6 +74,9 @@ def instantiate(name, bindings, agents=None, k=None):
     def agent(s):
         if s not in agents:
             raise ValueError(f"schema {name} needs agent {s}")
+        if agents[s] < 0:
+            raise ValueError(f"schema {name}: agent {s}={agents[s]} is "
+                             f"negative")
         return agents[s]
 
     if name == "S5Box-K":
@@ -205,34 +208,25 @@ _PL_MAX_LETTERS = 16
 
 
 def _pl_consequence(premises, conclusion):
-    """Truth-table entailment over maximal non-boolean subformulas."""
-    letters = {}
+    """Truth-table entailment over maximal non-boolean subformulas: the
+    premises and the negated conclusion, one kernel.columns program over
+    those letters, must be false under every assignment."""
+    letters, prog = {}, []
 
-    def skel(f):
+    def emit(f):
         if isinstance(f, Not):
-            return ("not", skel(f.sub))
-        if isinstance(f, And):
-            return ("and", skel(f.left), skel(f.right))
-        if f not in letters:
-            letters[f] = len(letters)
-        return ("var", letters[f])
+            node = (kernel.OP_NOT, emit(f.sub), 0)
+        elif isinstance(f, And):
+            node = (kernel.OP_AND, emit(f.left), emit(f.right))
+        else:
+            node = (kernel.OP_ATOM, letters.setdefault(f, len(letters)), 0)
+        prog.append(node)
+        return len(prog) - 1
 
-    shapes = [skel(canon(p)) for p in premises] + [skel(canon(conclusion))]
+    emit(canon(conjoin([*premises, Not(conclusion)])))
     if len(letters) > _PL_MAX_LETTERS:
         raise ValueError("too many distinct subformulas for a PL step")
-
-    def ev(shape, bits):
-        tag = shape[0]
-        if tag == "var":
-            return bool((bits >> shape[1]) & 1)
-        if tag == "not":
-            return not ev(shape[1], bits)
-        return ev(shape[1], bits) and ev(shape[2], bits)
-
-    for bits in range(1 << len(letters)):
-        if all(ev(s, bits) for s in shapes[:-1]) and not ev(shapes[-1], bits):
-            return False
-    return True
+    return not any(col[-1] for _, col in kernel.columns(prog, len(letters)))
 
 
 def _as_implication(f):
@@ -437,12 +431,17 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
     additionally sweeps multi-class frames with the permutation property.
     Returns a report with any counterexamples (none expected).
     """
+    if max_points < 1:
+        raise ValueError(f"max_points {max_points} is below 1")
     grid = grid or default_grid()
+    instances = schema_instances(name, max_k, grid)
+    if not instances:
+        raise ValueError(f"schema {name} has no instances at max_k {max_k}")
     frames_of = (solver.moment_frames if models == "btac"
                  else solver.general_frames)
     report = {"schema": name, "models": models, "instances": 0,
               "counterexamples": []}
-    for inst in schema_instances(name, max_k, grid):
+    for inst in instances:
         report["instances"] += 1
         hit = _sweep_frames(inst, max_points, frames_of)
         if hit is not None:

@@ -230,16 +230,6 @@ def mc(m, w, f):
     return ev(f, w)
 
 
-def generated_submodel(m, w):
-    """Restriction of a KripkeModel to the settledness class of w."""
-    cls = _class_lookup(m)(w)
-    keep = [u for u in m.worlds if u in cls]
-    relations = {a: tuple(c & cls for c in cells if c & cls)
-                 for a, cells in m.relations.items()}
-    valuation = {p: ws & cls for p, ws in m.valuation.items()}
-    return KripkeModel(tuple(keep), relations, valuation, m.agent_universe)
-
-
 def filtrate(m, f):
     """Filtration through the subformulas of f.
 

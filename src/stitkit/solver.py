@@ -16,12 +16,13 @@ and checks the closure conditions directly.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
 
-Both inner loops are bit-parallel on Python integers.  _types evaluates
-each subformula as a bit column over 2**_CHUNK_BITS leaf assignments at
-a time, so a connective or a T constraint is one big-int operation per
-chunk.  _search_group holds sets of candidate types as bitsets, so a
-combination of profile subsets costs a few ANDs and ORs.  The scalar
-loops they replaced are kept in the tests as references.
+Both inner loops are bit-parallel on Python integers.  _types compiles
+the subformulas into a boolean program over the leaves and runs it
+through kernel.columns, so a connective or a T constraint is one big-int
+operation per chunk of leaf assignments.  _search_group holds sets of
+candidate types as bitsets, so a combination of profile subsets costs a
+few ANDs and ORs.  The scalar loops they replaced are kept in the tests
+as references.
 
 The oracle is an unrelated brute force: at each world count up to a cap
 it walks one list of frames with the permutation property, the
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import kernel, syntax
-from ._pykernel import _slot_lsb
 from .btac import set_partitions
 from .kripke import KripkeModel, MomentModel, mc
 from .syntax import And, Atom, Box, Cstit, Not
@@ -44,9 +44,6 @@ from .syntax import And, Atom, Box, Cstit, Not
 ORACLE_MAX_WORLDS = 5
 ENGINE_MAX_LEAVES = 22
 ENGINE_MAX_COMBOS = 1 << 22
-# _types evaluates 2**_CHUNK_BITS leaf assignments per bit column
-_CHUNK_BITS = 10
-_LEAF, _NOT, _AND = range(3)
 _ONE = "1".__eq__  # a binary digit as a bool
 
 
@@ -92,53 +89,36 @@ def _types(g):
     formula has a true body (the T constraint).
 
     The leaves (atoms, [i]- and []-subformulas) take every assignment
-    once.  Assignments are taken in chunks of 2**_CHUNK_BITS over the
-    high leaf bits; within a chunk every subformula is one bit column,
-    bit b holding its value under assignment base + b, so a connective
-    or a T constraint costs one big-int operation per chunk.  The types
-    come out in ascending assignment order.
+    once.  kernel.columns evaluates the subformulas as bit columns over
+    one chunk of assignments at a time, so a T constraint costs one
+    big-int operation per chunk.  The types come out in ascending
+    assignment order.
     """
     sf = syntax.subformulas(g)
     idx = {s: i for i, s in enumerate(sf)}
-    leaves = [i for i, s in enumerate(sf)
-              if isinstance(s, (Atom, Cstit, Box))]
-    if len(leaves) > ENGINE_MAX_LEAVES:
-        raise InconclusiveError(
-            f"{len(leaves)} independent subformulas exceed the engine cap",
-            {"cap": "leaves", "leaves": len(leaves)})
-    leaf_of = {i: k for k, i in enumerate(leaves)}
-    # (op, x, y): a leaf is (_LEAF, leaf number, body position or -1)
-    prog = []
+    prog, modal, n_leaves = [], [], 0
     for i, s in enumerate(sf):
         if isinstance(s, Not):
-            prog.append((_NOT, idx[s.sub], 0))
+            prog.append((kernel.OP_NOT, idx[s.sub], 0))
         elif isinstance(s, And):
-            prog.append((_AND, idx[s.left], idx[s.right]))
+            prog.append((kernel.OP_AND, idx[s.left], idx[s.right]))
         else:
-            prog.append((_LEAF, leaf_of[i],
-                         -1 if isinstance(s, Atom) else idx[s.sub]))
-    c = min(len(leaves), _CHUNK_BITS)
-    width = 1 << c
-    full = (1 << width) - 1
-    top = 1 << width
-    pattern = [_slot_lsb(1 << (c - k - 1), 1 << (k + 1))
-               * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(c)]
+            prog.append((kernel.OP_ATOM, n_leaves, 0))
+            n_leaves += 1
+            if not isinstance(s, Atom):
+                modal.append((i, idx[s.sub]))
+    if n_leaves > ENGINE_MAX_LEAVES:
+        raise InconclusiveError(
+            f"{n_leaves} independent subformulas exceed the engine cap",
+            {"cap": "leaves", "leaves": n_leaves})
     out = []
-    col = [0] * len(sf)
-    for base in range(0, 1 << len(leaves), width):
+    for full, col in kernel.columns(prog, n_leaves):
         ok = full
-        for i, (op, x, y) in enumerate(prog):
-            if op == _LEAF:
-                v = pattern[x] if x < c else full if base >> x & 1 else 0
-                if y >= 0:
-                    ok &= ~v | col[y]
-            elif op == _NOT:
-                v = full ^ col[x]
-            else:
-                v = col[x] & col[y]
-            col[i] = v
+        for i, body in modal:
+            ok &= ~col[i] | col[body]
         if not ok:
             continue
+        top = full + 1
         # binary digits, lowest first: bit b of a column at index b
         pos = [b for b, ch in enumerate(bin(ok)[:1:-1]) if ch == "1"]
         digits = [bin(v | top)[:2:-1] for v in col]
@@ -162,7 +142,7 @@ def sat(f, cfg=None):
     sf, idx, types = _types(g)
     root = idx[g]
     box_nodes = [i for i, s in enumerate(sf) if isinstance(s, Box)]
-    agents = sorted(syntax.agents(g))
+    agents = sorted({s.agent for s in sf if isinstance(s, Cstit)})
     cstit_nodes = {a: [i for i, s in enumerate(sf)
                        if isinstance(s, Cstit) and s.agent == a]
                    for a in agents}
@@ -498,9 +478,9 @@ def oracle(f, max_worlds, cfg=None):
     valuation of the formula's atoms, streamed through the kernel."""
     cfg = cfg or SolverConfig()
     _check_agents(f, cfg)
-    if max_worlds > ORACLE_MAX_WORLDS:
-        raise ValueError(f"max_worlds {max_worlds} exceeds oracle cap "
-                         f"{ORACLE_MAX_WORLDS}")
+    if not 1 <= max_worlds <= ORACLE_MAX_WORLDS:
+        raise ValueError(f"max_worlds {max_worlds} is outside the oracle "
+                         f"range 1..{ORACLE_MAX_WORLDS}")
     agents = sorted(syntax.agents(f))
     atom_names = sorted(syntax.atoms(f))
     if max_worlds * len(atom_names) > kernel.MAX_VALUATION_BITS:
@@ -531,19 +511,20 @@ def product_sat(f, max_cells, cfg=None):
 
     Worlds are pairs (row, column); agent 0 chooses the row, agent 1 the
     column.  Returns SAT iff some product frame with at most max_cells
-    cells per agent satisfies f under some valuation.
+    cells per agent satisfies f under some valuation; raises ValueError
+    on reaching a frame too large for the scan kernel.
     """
     cfg = cfg or SolverConfig()
     if not syntax.agents(f) <= {0, 1}:
         raise ValueError("product check needs agents within {0, 1}")
+    if max_cells < 1:
+        raise ValueError(f"max_cells {max_cells} is below 1")
     atom_names = sorted(syntax.atoms(f))
     ops, args = kernel.compile_formula(
         f, {p: k for k, p in enumerate(atom_names)}, {0: 0, 1: 1})
     for rows in range(1, max_cells + 1):
         for cols in range(1, max_cells + 1):
             n = rows * cols
-            if n * len(atom_names) > kernel.MAX_VALUATION_BITS:
-                continue
             row_cells = tuple(
                 sum(1 << (r * cols + c) for c in range(cols))
                 for r in range(rows))

@@ -136,8 +136,3 @@ def tr_prime(f):
     if any(isinstance(g, Cstit) for g in subformulas(out)):
         raise AssertionError("tr_prime output contains an [i] operator")
     return out
-
-
-def blowup(f, out):
-    """Measured length ratio (length(out) - 1) / length(f)."""
-    return (syntax.length(out) - 1) / syntax.length(f)

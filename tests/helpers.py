@@ -1,10 +1,13 @@
-"""Shared test utilities: formula generators, small-model helpers and
-the scalar references of the solver's bitset inner loops."""
+"""Shared test utilities: formula generators, small-model helpers, the
+scalar references of the bit-parallel inner loops, and measures that
+only the tests read."""
 
 import itertools
 import random
 
 from stitkit import syntax
+from stitkit.axioms import canon
+from stitkit.kripke import KripkeModel, box_classes
 from stitkit.solver import (ENGINE_MAX_LEAVES, InconclusiveError,
                             _subsets_desc)
 from stitkit.syntax import And, Atom, Box, Cstit, Dstit, Not, length
@@ -155,3 +158,54 @@ def reference_search_group(cand, agents, profiles, iprof, cstit_nodes,
             continue
         return u_set, t_sat
     return None
+
+
+# -- scalar reference for axioms._pl_consequence ----------------------------
+
+def reference_pl_consequence(premises, conclusion, max_letters=16):
+    """axioms._pl_consequence one assignment at a time, over a tuple
+    skeleton of each canonical premise and of the conclusion."""
+    letters = {}
+
+    def skel(f):
+        if isinstance(f, Not):
+            return ("not", skel(f.sub))
+        if isinstance(f, And):
+            return ("and", skel(f.left), skel(f.right))
+        if f not in letters:
+            letters[f] = len(letters)
+        return ("var", letters[f])
+
+    shapes = [skel(canon(p)) for p in premises] + [skel(canon(conclusion))]
+    if len(letters) > max_letters:
+        raise ValueError("too many distinct subformulas for a PL step")
+
+    def ev(shape, bits):
+        tag = shape[0]
+        if tag == "var":
+            return bool((bits >> shape[1]) & 1)
+        if tag == "not":
+            return not ev(shape[1], bits)
+        return ev(shape[1], bits) and ev(shape[2], bits)
+
+    for bits in range(1 << len(letters)):
+        if all(ev(s, bits) for s in shapes[:-1]) and not ev(shapes[-1], bits):
+            return False
+    return True
+
+
+# -- measures only the tests read -----------------------------------------
+
+def blowup(f, out):
+    """Measured length ratio (length(out) - 1) / length(f)."""
+    return (length(out) - 1) / length(f)
+
+
+def generated_submodel(m, w):
+    """Restriction of a KripkeModel to the settledness class of w."""
+    cls = next(c for c in box_classes(m) if w in c)
+    keep = [u for u in m.worlds if u in cls]
+    relations = {a: tuple(c & cls for c in cells if c & cls)
+                 for a, cells in m.relations.items()}
+    valuation = {p: ws & cls for p, ws in m.valuation.items()}
+    return KripkeModel(tuple(keep), relations, valuation, m.agent_universe)

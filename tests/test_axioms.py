@@ -1,13 +1,17 @@
 import importlib.resources
+import random
 
 import pytest
 
 from stitkit import axioms, solver
-from stitkit.axioms import (SYSTEMS, canon, check, default_grid, instantiate,
+from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_consequence, canon,
+                            check, default_grid, instantiate,
                             parse_derivation, schema_instances,
                             semantic_audit)
 from stitkit.solver import SolverConfig
-from stitkit.syntax import parse, pretty
+from stitkit.syntax import Atom, Cstit, Not, Or, conjoin, parse, pretty
+
+from helpers import exhaustive_formulas, reference_pl_consequence
 
 
 def fixture_text(name):
@@ -54,6 +58,8 @@ def test_instantiate_errors():
         instantiate("NoSuchSchema", {})
     with pytest.raises(ValueError):
         instantiate("AIA", {"phi0": parse("p")}, k=1)  # missing phi1
+    with pytest.raises(ValueError):
+        instantiate("S5i-T", {"phi": parse("p")}, {"i": -1})
 
 
 def test_canon_collapses_double_negation():
@@ -76,6 +82,51 @@ def test_pl_rule():
     3: (p | ~p) ; PL
     """
     assert check(parse_derivation(text)).ok
+
+
+def _assert_pl_matches_reference(premises, conclusion):
+    try:
+        want = reference_pl_consequence(premises, conclusion,
+                                        _PL_MAX_LETTERS)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _pl_consequence(premises, conclusion)
+        return None
+    got = _pl_consequence(premises, conclusion)
+    assert got == want, ([pretty(p) for p in premises], pretty(conclusion))
+    return want
+
+
+def test_pl_matches_reference_exhaustive():
+    # every conclusion of length <= 6 under 0-3 random premises, as is
+    # and weakened by a premise or by excluded middle
+    pool = list(exhaustive_formulas(6))
+    rng = random.Random(61)
+    verdicts = []
+    for c in pool:
+        for k in range(4):
+            premises = rng.sample(pool, k)
+            weaker = Or(c, premises[-1] if premises else Not(c))
+            for conclusion in (c, weaker):
+                verdicts.append(
+                    _assert_pl_matches_reference(premises, conclusion))
+    assert verdicts.count(True) > 800 and verdicts.count(False) > 700
+
+
+def test_pl_matches_reference_many_letters():
+    # 8-17 letters: one chunk of assignments, several, and over the cap
+    for n in range(8, 18):
+        letters = [Cstit(i % 2, Atom(f"p{i}")) if i % 3 else Atom(f"p{i}")
+                   for i in range(n)]
+        cases = [([conjoin(letters)], letters[-1]),
+                 ([conjoin(letters[:-1])], letters[-1]),
+                 ([], Not(conjoin(letters))),
+                 (letters[1:], Or(letters[0], Not(letters[0])))]
+        verdicts = [_assert_pl_matches_reference(p, c) for p, c in cases]
+        if n > _PL_MAX_LETTERS:
+            assert verdicts == [None] * 4
+        else:
+            assert verdicts == [True, False, False, True]
 
 
 def test_pl_rejects_non_consequence():
@@ -192,6 +243,15 @@ def test_semantic_audit_small():
     assert rep["counterexamples"] == []
     rep = semantic_audit("GPerm", 1, models="kripke", max_points=3)
     assert rep["counterexamples"] == []
+
+
+def test_semantic_audit_rejects_empty_sweeps():
+    # no frame swept, or no instance swept, is no evidence of validity
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            semantic_audit("S5Box-T", 1, max_points=bound)
+    with pytest.raises(ValueError):
+        semantic_audit("AIA", 0, max_points=3)
 
 
 def test_systems_table():

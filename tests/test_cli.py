@@ -158,6 +158,9 @@ def test_axiom(capsys):
     assert code == 0
     assert "~[]~" in out  # the diamonds
     assert cli.main(["axiom", "AIA", "--k", "1", "--bind", "phi0=p"]) == 2
+    # ~([-1]p & ~p) would not parse back
+    assert cli.main(["axiom", "S5i-T", "--bind", "i=-1",
+                     "--bind", "phi=p"]) == 2
 
 
 def test_oracle(capsys):
@@ -165,6 +168,8 @@ def test_oracle(capsys):
     assert cli.main(["oracle", "(p & ~p)", "--max-worlds", "2"]) == 1
     assert cli.main(["oracle", "{0}p", "--agents", "2",
                      "--max-worlds", "2"]) == 0
+    for bound in ("0", "-1"):
+        assert cli.main(["oracle", "p", "--max-worlds", bound]) == 2
 
 
 def test_sweep(capsys):
@@ -172,6 +177,10 @@ def test_sweep(capsys):
                     "--max-points", "3")
     assert code == 0
     assert "0 counterexamples" in out
+    # sweeping no frame or no instance is no evidence
+    assert cli.main(["sweep", "--schema", "S5Box-T",
+                     "--max-points", "0"]) == 2
+    assert cli.main(["sweep", "--schema", "AIA", "--max-k", "0"]) == 2
 
 
 def test_oracle_parse_error_exit_2(capsys):

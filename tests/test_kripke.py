@@ -6,11 +6,10 @@ from stitkit import btac, kripke, syntax
 from stitkit.kripke import (KripkeModel, MomentModel, box_classes,
                             check_equivalence, check_gpp,
                             check_rectangular, filtrate, filtrate_with_map,
-                            format_model, generated_submodel, mc,
-                            parse_model)
+                            format_model, mc, parse_model)
 from stitkit.syntax import parse, pretty, subformulas
 
-from helpers import random_corpus
+from helpers import generated_submodel, random_corpus
 
 PRODUCT = """
 moment agents=2

@@ -105,8 +105,20 @@ def test_frame_counts():
 
 
 def test_oracle_guards():
+    # a bound below 1 would sweep no frame and answer UNSAT
+    for bound in (solver.ORACLE_MAX_WORLDS + 1, 0, -1):
+        with pytest.raises(ValueError):
+            oracle(parse("p"), bound, CFG2)
+
+
+def test_product_sat_never_skips_a_frame():
+    # an empty bound, or a frame too large to scan, would answer UNSAT
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            product_sat(parse("p"), bound)
+    f = parse("(<0>p & <0>~p & <1>q & <1>~q & a & b & c & d & e)")
     with pytest.raises(ValueError):
-        oracle(parse("p"), solver.ORACLE_MAX_WORLDS + 1, CFG2)
+        product_sat(f, 3)
 
 
 def test_agent_universe_guard():
@@ -211,7 +223,7 @@ def test_types_match_reference_exhaustive():
 
 def test_types_match_reference_around_chunk_size():
     # one chunk with room to spare, exactly one full chunk, several chunks
-    chunk = solver._CHUNK_BITS
+    chunk = kernel._COLUMN_CHUNK_BITS
     want = {chunk - 3: 3, chunk: 3, chunk + 2: 3}
     names = tuple("pqrstuvw")
     for f in random_corpus(37, 4000, 40, atom_names=names,

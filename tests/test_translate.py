@@ -5,9 +5,9 @@ from stitkit.solver import SolverConfig
 from stitkit.syntax import (And, Atom, Box, Cstit, Dstit, Iff, Implies,
                             LanguageTag, Not, Or, atoms, language_tag,
                             length, parse, pretty, subformulas)
-from stitkit.translate import blowup, tr, tr_prime
+from stitkit.translate import tr, tr_prime
 
-from helpers import exhaustive_formulas, random_corpus
+from helpers import blowup, exhaustive_formulas, random_corpus
 
 CFG2 = SolverConfig(agent_universe=2)
 
