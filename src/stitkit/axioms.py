@@ -187,20 +187,25 @@ def parse_derivation(text):
 
 
 def canon(f):
-    """Collapse double negations everywhere (an admissible rewriting)."""
+    """Collapse double negations everywhere (an admissible rewriting).
+
+    A node with no double negation below it comes back as it is."""
     if isinstance(f, Not):
         sub = canon(f.sub)
         if isinstance(sub, Not):
             return sub.sub
-        return Not(sub)
+        return f if sub is f.sub else Not(sub)
     if isinstance(f, And):
-        return And(canon(f.left), canon(f.right))
-    if isinstance(f, Cstit):
-        return Cstit(f.agent, canon(f.sub))
-    if isinstance(f, Dstit):
-        return Dstit(f.agent, canon(f.sub))
+        left, right = canon(f.left), canon(f.right)
+        if left is f.left and right is f.right:
+            return f
+        return And(left, right)
+    if isinstance(f, (Cstit, Dstit)):
+        sub = canon(f.sub)
+        return f if sub is f.sub else type(f)(f.agent, sub)
     if isinstance(f, Box):
-        return Box(canon(f.sub))
+        sub = canon(f.sub)
+        return f if sub is f.sub else Box(sub)
     return f
 
 
@@ -431,6 +436,8 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
     additionally sweeps multi-class frames with the permutation property.
     Returns a report with any counterexamples (none expected).
     """
+    if models not in ("btac", "kripke"):
+        raise ValueError(f"models must be 'btac' or 'kripke', not {models!r}")
     if max_points < 1:
         raise ValueError(f"max_points {max_points} is below 1")
     grid = grid or default_grid()

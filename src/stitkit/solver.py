@@ -149,8 +149,9 @@ def sat(f, cfg=None):
     sub_of = {i: idx[sf[i].sub] for i, s in enumerate(sf)
               if isinstance(sf[i], (Cstit, Box))}
 
+    bound = 2 ** syntax.length(f)
     stats = {"engine": "types", "types": len(types), "groups": 0,
-             "combos": 0, "bound": 2 ** syntax.length(f)}
+             "combos": 0, "bound": bound}
 
     def boxprof(t):
         return tuple(t[i] for i in box_nodes)
@@ -186,7 +187,7 @@ def sat(f, cfg=None):
                                           iprof, cfg)
             if mc(model, world, f) is not True:
                 raise AssertionError("witness failed re-check")
-            if len(model.worlds) > 2 ** syntax.length(f):
+            if len(model.worlds) > bound:
                 raise AssertionError("witness exceeds the 2^length bound")
             stats["witness_worlds"] = len(model.worlds)
             return SatResult("SAT", (model, world), stats)

@@ -8,12 +8,25 @@ is desugared on construction:
     <>f   == ~[]~f          <i>f  == ~[i]~f
     a | b == ~(~a & ~b)      a -> b == ~(a & ~b)
     a <-> b == (a -> b) & (b -> a)
+
+Nodes are immutable and compare by structure.  A node computes its hash
+once, when it is built, from the stored hashes of its children, so
+building and hashing a node cost O(1) at any depth.  ``==`` tests
+identity, then class and hash, and only then walks both trees.  The
+first ``subformulas`` call on a node stores the post-order walk on that
+node; ``agents``, ``atoms`` and ``language_tag`` read it, and it lives
+exactly as long as the node does.  There is no intern table: two parses
+of one text give two equal, distinct trees.
+
+Nothing in this module recurses.  The parser, the printers, the
+measures, equality and ``expand_dstit`` walk with explicit stacks, so
+they handle any nesting depth under the default recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 
 
@@ -25,51 +38,173 @@ class SyntaxError_(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
 class Formula:
-    __slots__ = ()
+    """Base of the six node classes.
+
+    ``_hash`` is set at construction; ``_sf`` holds the subformula walk
+    once ``subformulas`` has run on the node.
+    """
+
+    __slots__ = ("_hash", "_sf")
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False if isinstance(other, Formula) else NotImplemented
+        return self._hash == other._hash and _same(self, other)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__match_args__)
+
+    def __repr__(self):
+        return _repr(self)
 
     def __str__(self):
         return pretty(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     __slots__ = ("name",)
-    name: str
+    __match_args__ = ("name",)
+
+    def __new__(cls, name):
+        self = _new(cls)
+        _set_name(self, name)
+        _set_hash(self, hash((0, name)))
+        return self
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     __slots__ = ("sub",)
-    sub: Formula
+    __match_args__ = ("sub",)
+
+    def __new__(cls, sub):
+        self = _new(cls)
+        _set_not_sub(self, sub)
+        _set_hash(self, hash((1, sub._hash)))
+        return self
 
 
-@dataclass(frozen=True)
 class And(Formula):
     __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        self = _new(cls)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((2, left._hash, right._hash)))
+        return self
 
 
-@dataclass(frozen=True)
 class Cstit(Formula):
     __slots__ = ("agent", "sub")
-    agent: int
-    sub: Formula
+    __match_args__ = ("agent", "sub")
+
+    def __new__(cls, agent, sub):
+        self = _new(cls)
+        _set_cstit_agent(self, agent)
+        _set_cstit_sub(self, sub)
+        _set_hash(self, hash((3, agent, sub._hash)))
+        return self
 
 
-@dataclass(frozen=True)
 class Dstit(Formula):
     __slots__ = ("agent", "sub")
-    agent: int
-    sub: Formula
+    __match_args__ = ("agent", "sub")
+
+    def __new__(cls, agent, sub):
+        self = _new(cls)
+        _set_dstit_agent(self, agent)
+        _set_dstit_sub(self, sub)
+        _set_hash(self, hash((4, agent, sub._hash)))
+        return self
 
 
-@dataclass(frozen=True)
 class Box(Formula):
     __slots__ = ("sub",)
-    sub: Formula
+    __match_args__ = ("sub",)
+
+    def __new__(cls, sub):
+        self = _new(cls)
+        _set_box_sub(self, sub)
+        _set_hash(self, hash((5, sub._hash)))
+        return self
+
+
+# slot setters, which bypass the raising __setattr__
+_set_hash = Formula._hash.__set__
+_set_sf = Formula._sf.__set__
+_set_name = Atom.name.__set__
+_set_not_sub = Not.sub.__set__
+_set_left = And.left.__set__
+_set_right = And.right.__set__
+_set_cstit_agent = Cstit.agent.__set__
+_set_cstit_sub = Cstit.sub.__set__
+_set_dstit_agent = Dstit.agent.__set__
+_set_dstit_sub = Dstit.sub.__set__
+_set_box_sub = Box.sub.__set__
+
+_MODAL = (Cstit, Dstit)
+
+
+def _same(a, b):
+    """Structural equality of two nodes, one pair of nodes at a time."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b) or a._hash != b._hash:
+            return False
+        if t is Atom:
+            if a.name != b.name:
+                return False
+        elif t is And:
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        else:
+            if t in _MODAL and a.agent != b.agent:
+                return False
+            stack.append((a.sub, b.sub))
+    return True
+
+
+def _repr(f):
+    """Dataclass-style repr, e.g. Not(sub=Atom(name='p'))."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            out.append(g)
+            continue
+        out.append(type(g).__name__ + "(")
+        pieces = []
+        for k, name in enumerate(g.__match_args__):
+            value = getattr(g, name)
+            pieces.append(f"{', ' if k else ''}{name}=")
+            pieces.append(value if isinstance(value, Formula)
+                          else repr(value))
+        pieces.append(")")
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 # -- sugar constructors -------------------------------------------------
@@ -121,194 +256,235 @@ _TOKEN_RE = re.compile(
      |(?P<iff><->)|(?P<imp>->)
      |(?P<and>&)|(?P<or>\|)|(?P<not>~)
      |(?P<box>\[\])|(?P<dia><>)
-     |(?P<cstit>\[(?P<cagent>\d+)\])
-     |(?P<poscstit><(?P<pagent>\d+)>)
-     |(?P<dstit>\{(?P<dagent>\d+)\})
+     |(?P<cstit>\[\d+\])|(?P<poscstit><\d+>)|(?P<dstit>\{\d+\})
      |(?P<atom>[a-z_][a-zA-Z0-9_]*)
+     |(?P<bad>\S)
     )""",
     re.VERBOSE,
 )
 
-_BINOPS = {"and", "or", "imp", "iff"}
+# a prefix token waits for its operand as (builder, agent or None)
+_UNARY = {"not": (Not, None), "box": (Box, None), "dia": (Diamond, None)}
+_AGENTIVE = {"cstit": Cstit, "poscstit": PosCstit, "dstit": Dstit}
+_BINARY = {"and": And, "or": Or, "imp": Implies, "iff": Iff}
+
+# parser frames besides prefix operators (tuples) and open chains (lists)
+_OPEN = object()  # after "(", waiting for its first operand
+_TOP = object()  # the whole text
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise SyntaxError_(f"unexpected input {rest[:10]!r}", pos)
-        # every alternative is one named group that closes last, so
-        # lastgroup names the token kind
-        tokens.append((m.lastgroup, m, m.start()))
-        pos = m.end()
-    tokens.append(("eof", None, len(text)))
+    """(kind, token text, position) per token, then ("eof", "", length).
+
+    Every alternative of _TOKEN_RE is one named group, so lastgroup names
+    the token kind.  The matches cover the text up to
+    trailing blanks, because any other character is a "bad" token.
+    """
+    tokens = [(m.lastgroup, m[m.lastindex], m.start())
+              for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise SyntaxError_(f"expected {kind}, found {tok[0]}", tok[2])
-        return tok
-
-    def parse_unary(self):
-        kind, m, pos = self.next()
-        if kind == "atom":
-            return Atom(m.group("atom"))
-        if kind == "not":
-            return Not(self.parse_unary())
-        if kind == "box":
-            return Box(self.parse_unary())
-        if kind == "dia":
-            return Diamond(self.parse_unary())
-        if kind == "cstit":
-            return Cstit(int(m.group("cagent")), self.parse_unary())
-        if kind == "poscstit":
-            return PosCstit(int(m.group("pagent")), self.parse_unary())
-        if kind == "dstit":
-            return Dstit(int(m.group("dagent")), self.parse_unary())
-        if kind == "lpar":
-            left = self.parse_unary()
-            op = self.next()
-            if op[0] == "rpar":
-                return left
-            if op[0] not in _BINOPS:
-                raise SyntaxError_("expected binary operator", op[2])
-            out = self.parse_chain(op[0], left)
-            self.expect("rpar")
-            return out
-        raise SyntaxError_(f"unexpected token {kind}", pos)
-
-    def parse_chain(self, op, left):
-        # & and | may be chained ((a & b & c) nests to the right)
-        items = [left, self.parse_unary()]
-        while self.peek() == op and op in ("and", "or"):
-            self.next()
-            items.append(self.parse_unary())
-        if self.peek() in _BINOPS:
-            tok = self.tokens[self.i]
-            raise SyntaxError_("mixed binary operators need parentheses",
-                               tok[2])
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = _combine(op, item, out)
-        return out
-
-    def parse_top(self):
-        left = self.parse_unary()
-        if self.peek() in _BINOPS:
-            # outermost parentheses are optional
-            op = self.next()
-            out = self.parse_chain(op[0], left)
-            self.expect("eof")
-            return out
-        self.expect("eof")
-        return left
-
-
-def _combine(op, left, right):
-    if op == "and":
-        return And(left, right)
-    if op == "or":
-        return Or(left, right)
-    if op == "imp":
-        return Implies(left, right)
-    return Iff(left, right)
-
-
 def parse(text):
-    """Parse formula text into its (desugared) AST."""
-    return _Parser(text).parse_top()
+    """Parse formula text into its (desugared) AST.
+
+    Grammar: a formula is a unary formula, optionally followed by one
+    binary operator chain without parentheses at the top level.  A unary
+    formula is an atom, a prefix operator applied to a unary formula, or
+    "(" unary ")" or "(" unary op unary ... ")".  Only & and | chain
+    (nesting to the right); mixing operators needs parentheses.
+
+    Text that does not tokenize is reported before any other error, at
+    its first bad character.
+    """
+    tokens = _tokenize(text)
+    try:
+        return _parse(tokens)
+    except ValueError:
+        # a text that parses has no bad token, so look only on failure
+        for kind, _, pos in tokens:
+            if kind == "bad":
+                raise SyntaxError_(
+                    f"unexpected input {text[pos:].lstrip()[:10]!r}",
+                    pos) from None
+        raise
+
+
+def _parse(tokens):
+    """One pass over the tokens.  ``frames`` holds what waits for the
+    next complete operand, innermost last: a prefix operator, an open
+    parenthesis, a chain [op, operands, closing token] or the top."""
+    i = 0
+    frames = [_TOP]
+    while True:
+        kind, word, pos = tokens[i]
+        i += 1
+        if kind == "atom":
+            value = Atom(word)
+        elif kind in _UNARY:
+            frames.append(_UNARY[kind])
+            continue
+        elif kind in _AGENTIVE:
+            frames.append((_AGENTIVE[kind], int(word[1:-1])))
+            continue
+        elif kind == "lpar":
+            frames.append(_OPEN)
+            continue
+        else:
+            raise SyntaxError_(f"unexpected token {kind}", pos)
+        # an operand is complete: hand it out until a frame needs more
+        while True:
+            frame = frames[-1]
+            if type(frame) is tuple:
+                frames.pop()
+                build, agent = frame
+                value = build(value) if agent is None else build(agent, value)
+                continue
+            kind, _, pos = tokens[i]
+            if frame is _OPEN:
+                i += 1
+                if kind == "rpar":
+                    frames.pop()
+                    continue
+                if kind not in _BINARY:
+                    raise SyntaxError_("expected binary operator", pos)
+                frames[-1] = [kind, [value], "rpar"]
+                break
+            if frame is _TOP:
+                if kind in _BINARY:
+                    # outermost parentheses are optional
+                    i += 1
+                    frames[-1] = [kind, [value], "eof"]
+                    break
+                if kind != "eof":
+                    raise SyntaxError_(f"expected eof, found {kind}", pos)
+                return value
+            op, items, closer = frame
+            items.append(value)
+            if kind == op and (op == "and" or op == "or"):
+                # & and | may be chained ((a & b & c) nests to the right)
+                i += 1
+                break
+            if kind in _BINARY:
+                raise SyntaxError_("mixed binary operators need parentheses",
+                                   pos)
+            i += 1
+            if kind != closer:
+                raise SyntaxError_(f"expected {closer}, found {kind}", pos)
+            frames.pop()
+            build = _BINARY[op]
+            for k in range(len(items) - 2, -1, -1):
+                value = build(items[k], value)
+            if not frames:
+                return value
 
 
 # -- printer ------------------------------------------------------------
 
 def pretty(f):
     """Canonical text form; parse(pretty(f)) == f, byte-stable."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + pretty(f.sub)
-    if isinstance(f, And):
-        return f"({pretty(f.left)} & {pretty(f.right)})"
-    if isinstance(f, Cstit):
-        return f"[{f.agent}]{pretty(f.sub)}"
-    if isinstance(f, Dstit):
-        return f"{{{f.agent}}}{pretty(f.sub)}"
-    if isinstance(f, Box):
-        return "[]" + pretty(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is Atom:
+            out.append(g.name)
+        elif t is Not:
+            out.append("~")
+            stack.append(g.sub)
+        elif t is And:
+            out.append("(")
+            stack += (")", g.right, " & ", g.left)
+        elif t is Cstit:
+            out.append(f"[{g.agent}]")
+            stack.append(g.sub)
+        elif t is Dstit:
+            out.append(f"{{{g.agent}}}")
+            stack.append(g.sub)
+        elif t is Box:
+            out.append("[]")
+            stack.append(g.sub)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 # -- structural measures ------------------------------------------------
 
 def length(f):
     """Symbol-count measure: atoms 1, ~ 1+, & 3+, [i] 3+, {i} 5+, [] 1+."""
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Not):
-        return 1 + length(f.sub)
-    if isinstance(f, And):
-        return 3 + length(f.left) + length(f.right)
-    if isinstance(f, Cstit):
-        return 3 + length(f.sub)
-    if isinstance(f, Dstit):
-        return 5 + length(f.sub)
-    if isinstance(f, Box):
-        return 1 + length(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    total = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is And:
+            total += 3
+            stack.append(g.left)
+            stack.append(g.right)
+        elif t is Atom:
+            total += 1
+        elif t is Not or t is Box:
+            total += 1
+            stack.append(g.sub)
+        elif t is Cstit:
+            total += 3
+            stack.append(g.sub)
+        elif t is Dstit:
+            total += 5
+            stack.append(g.sub)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return total
 
 
-def children(f):
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, And):
-        return (f.left, f.right)
-    return (f.sub,)
+_EMIT = object()  # stack mark: the node below it has all children done
 
 
 def subformulas(f):
-    """All subformulas of f in post-order (children first), deduplicated."""
+    """All subformulas of f in post-order (children first), deduplicated.
+
+    Walked once per node: the tuple is stored on f and returned by every
+    later call.
+    """
+    try:
+        return f._sf
+    except AttributeError:
+        pass
     out = []
     seen = set()
-
-    def walk(g):
-        if g in seen:
-            return
-        for c in children(g):
-            walk(c)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is _EMIT:
+            g = stack.pop()
+        elif g in seen:
+            continue
+        elif type(g) is not Atom:
+            stack.append(g)
+            stack.append(_EMIT)
+            if type(g) is And:
+                stack.append(g.right)
+                stack.append(g.left)
+            else:
+                stack.append(g.sub)
+            continue
         seen.add(g)
         out.append(g)
-
-    walk(f)
-    return tuple(out)
+    out = tuple(out)
+    _set_sf(f, out)
+    return out
 
 
 def agents(f):
     """Agent indices occurring in cstit/dstit operators."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Cstit, Dstit)):
-            out.add(g.agent)
-    return out
+    return {g.agent for g in subformulas(f) if isinstance(g, _MODAL)}
 
 
 def atoms(f):
@@ -316,8 +492,9 @@ def atoms(f):
 
 
 def language_tag(f):
-    has_c = any(isinstance(g, Cstit) for g in subformulas(f))
-    has_d = any(isinstance(g, Dstit) for g in subformulas(f))
+    sf = subformulas(f)
+    has_c = any(isinstance(g, Cstit) for g in sf)
+    has_d = any(isinstance(g, Dstit) for g in sf)
     if has_c and has_d:
         return LanguageTag.MIXED
     if has_d:
@@ -326,16 +503,33 @@ def language_tag(f):
 
 
 def expand_dstit(f):
-    """Rewrite every {i}g into ([i]g & ~[]g)."""
-    if isinstance(f, Atom):
+    """Rewrite every {i}g into ([i]g & ~[]g).
+
+    A node with no {i} below it comes back as it is, so a dstit-free
+    formula is its own expansion and keeps its stored subformula walk.
+    """
+    sf = subformulas(f)
+    if not any(type(g) is Dstit for g in sf):
         return f
-    if isinstance(f, Not):
-        return Not(expand_dstit(f.sub))
-    if isinstance(f, And):
-        return And(expand_dstit(f.left), expand_dstit(f.right))
-    if isinstance(f, Cstit):
-        return Cstit(f.agent, expand_dstit(f.sub))
-    if isinstance(f, Box):
-        return Box(expand_dstit(f.sub))
-    sub = expand_dstit(f.sub)
-    return And(Cstit(f.agent, sub), Not(Box(sub)))
+    new = {}  # subformula -> its expansion, or None when it is unchanged
+    for g in sf:
+        t = type(g)
+        if t is Atom:
+            new[g] = None
+        elif t is And:
+            left, right = new[g.left], new[g.right]
+            new[g] = (None if left is None and right is None else
+                      And(g.left if left is None else left,
+                          g.right if right is None else right))
+        else:
+            sub = new[g.sub]
+            if t is Dstit:
+                sub = g.sub if sub is None else sub
+                new[g] = And(Cstit(g.agent, sub), Not(Box(sub)))
+            elif sub is None:
+                new[g] = None
+            elif t is Cstit:
+                new[g] = Cstit(g.agent, sub)
+            else:
+                new[g] = t(sub)
+    return new[f]

@@ -1,16 +1,19 @@
 """Shared test utilities: formula generators, small-model helpers, the
-scalar references of the bit-parallel inner loops, and measures that
-only the tests read."""
+recursive reference parser, the scalar references of the bit-parallel
+inner loops, and measures that only the tests read."""
 
 import itertools
 import random
+import re
 
 from stitkit import syntax
 from stitkit.axioms import canon
 from stitkit.kripke import KripkeModel, box_classes
 from stitkit.solver import (ENGINE_MAX_LEAVES, InconclusiveError,
                             _subsets_desc)
-from stitkit.syntax import And, Atom, Box, Cstit, Dstit, Not, length
+from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
+                            Implies, Not, Or, PosCstit, SyntaxError_,
+                            length)
 
 
 def exhaustive_formulas(max_length, atom_names=("p", "q"), agents=(0, 1),
@@ -89,6 +92,134 @@ def random_corpus(seed, count, budget, **kwargs):
         assert length(f) <= budget
         out.append(f)
     return out
+
+
+# -- recursive reference for syntax.parse -----------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:
+      (?P<lpar>\()|(?P<rpar>\))
+     |(?P<iff><->)|(?P<imp>->)
+     |(?P<and>&)|(?P<or>\|)|(?P<not>~)
+     |(?P<box>\[\])|(?P<dia><>)
+     |(?P<cstit>\[(?P<cagent>\d+)\])
+     |(?P<poscstit><(?P<pagent>\d+)>)
+     |(?P<dstit>\{(?P<dagent>\d+)\})
+     |(?P<atom>[a-z_][a-zA-Z0-9_]*)
+    )""",
+    re.VERBOSE,
+)
+
+_BINOPS = {"and", "or", "imp", "iff"}
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise SyntaxError_(f"unexpected input {rest[:10]!r}", pos)
+        tokens.append((m.lastgroup, m, m.start()))
+        pos = m.end()
+    tokens.append(("eof", None, len(text)))
+    return tokens
+
+
+def _combine(op, left, right):
+    if op == "and":
+        return And(left, right)
+    if op == "or":
+        return Or(left, right)
+    if op == "imp":
+        return Implies(left, right)
+    return Iff(left, right)
+
+
+class _ReferenceParser:
+    """Recursive descent, one method per rule, over a tokenizer that
+    matches one token at a time."""
+
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise SyntaxError_(f"expected {kind}, found {tok[0]}", tok[2])
+        return tok
+
+    def parse_unary(self):
+        kind, m, pos = self.next()
+        if kind == "atom":
+            return Atom(m.group("atom"))
+        if kind == "not":
+            return Not(self.parse_unary())
+        if kind == "box":
+            return Box(self.parse_unary())
+        if kind == "dia":
+            return Diamond(self.parse_unary())
+        if kind == "cstit":
+            return Cstit(int(m.group("cagent")), self.parse_unary())
+        if kind == "poscstit":
+            return PosCstit(int(m.group("pagent")), self.parse_unary())
+        if kind == "dstit":
+            return Dstit(int(m.group("dagent")), self.parse_unary())
+        if kind == "lpar":
+            left = self.parse_unary()
+            op = self.next()
+            if op[0] == "rpar":
+                return left
+            if op[0] not in _BINOPS:
+                raise SyntaxError_("expected binary operator", op[2])
+            out = self.parse_chain(op[0], left)
+            self.expect("rpar")
+            return out
+        raise SyntaxError_(f"unexpected token {kind}", pos)
+
+    def parse_chain(self, op, left):
+        # & and | may be chained ((a & b & c) nests to the right)
+        items = [left, self.parse_unary()]
+        while self.peek() == op and op in ("and", "or"):
+            self.next()
+            items.append(self.parse_unary())
+        if self.peek() in _BINOPS:
+            tok = self.tokens[self.i]
+            raise SyntaxError_("mixed binary operators need parentheses",
+                               tok[2])
+        out = items[-1]
+        for item in reversed(items[:-1]):
+            out = _combine(op, item, out)
+        return out
+
+    def parse_top(self):
+        left = self.parse_unary()
+        if self.peek() in _BINOPS:
+            # outermost parentheses are optional
+            op = self.next()
+            out = self.parse_chain(op[0], left)
+            self.expect("eof")
+            return out
+        self.expect("eof")
+        return left
+
+
+def reference_parse(text):
+    """syntax.parse as recursive descent: same ASTs, same errors."""
+    return _ReferenceParser(text).parse_top()
 
 
 # -- scalar references for solver._types and solver._search_group --------

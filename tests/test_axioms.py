@@ -65,6 +65,13 @@ def test_instantiate_errors():
 def test_canon_collapses_double_negation():
     assert canon(parse("~~p")) == parse("p")
     assert canon(parse("[0]~~~p")) == parse("[0]~p")
+    # parts without a double negation come back as the same objects
+    f = parse("({1}(p & ~q) & [0]~~[]r)")
+    g = canon(f)
+    assert g == parse("({1}(p & ~q) & [0][]r)")
+    assert g.left is f.left and g.right.sub is f.right.sub.sub.sub
+    h = parse("([]~p & <0>q)")
+    assert canon(h) is h
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -243,6 +250,12 @@ def test_semantic_audit_small():
     assert rep["counterexamples"] == []
     rep = semantic_audit("GPerm", 1, models="kripke", max_points=3)
     assert rep["counterexamples"] == []
+
+
+def test_semantic_audit_rejects_unknown_models():
+    for models in ("bogus", "BTAC", "", None):
+        with pytest.raises(ValueError, match="models must be"):
+            semantic_audit("S5Box-T", 1, models=models, max_points=2)
 
 
 def test_semantic_audit_rejects_empty_sweeps():
