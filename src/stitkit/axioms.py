@@ -213,35 +213,44 @@ _PL_MAX_LETTERS = 16
 
 
 def _pl_consequence(premises, conclusion):
-    """Truth-table entailment over maximal non-boolean subformulas: the
-    premises and the negated conclusion, one kernel.columns program over
-    those letters, must be false under every assignment."""
-    letters, prog = {}, []
+    """Truth-table entailment over maximal non-boolean subformulas of the
+    canon forms of premises and conclusion."""
+    return _pl_entails([canon(p) for p in premises], canon(conclusion))
+
+
+def _pl_entails(premises, conclusion):
+    """_pl_consequence of formulas already in canon form: the premises and
+    the negated conclusion, one kernel.columns program over those
+    letters, must be false under every assignment."""
+    letters, ops, args = {}, [], []
 
     def emit(f):
         if isinstance(f, Not):
-            node = (kernel.OP_NOT, emit(f.sub), 0)
+            op, arg = kernel.OP_NOT, (emit(f.sub), 0)
         elif isinstance(f, And):
-            node = (kernel.OP_AND, emit(f.left), emit(f.right))
+            op, arg = kernel.OP_AND, (emit(f.left), emit(f.right))
         else:
-            node = (kernel.OP_ATOM, letters.setdefault(f, len(letters)), 0)
-        prog.append(node)
-        return len(prog) - 1
+            op, arg = kernel.OP_ATOM, (letters.setdefault(f, len(letters)), 0)
+        ops.append(op)
+        args.append(arg)
+        return len(ops) - 1
 
-    emit(canon(conjoin([*premises, Not(conclusion)])))
+    negated = (conclusion.sub if isinstance(conclusion, Not)
+               else Not(conclusion))
+    emit(conjoin([*premises, negated]))
     if len(letters) > _PL_MAX_LETTERS:
         raise ValueError("too many distinct subformulas for a PL step")
-    return not any(col[-1] for _, col in kernel.columns(prog, len(letters)))
+    return not any(col[-1] for _, col in
+                   kernel.columns(ops, args, len(letters)))
 
 
 def _as_implication(f):
-    """Split canon(f) of shape A -> B, else None.
+    """Split f, in canon form, of shape A -> B, else None.
 
     A -> B desugars to ~(A & ~B); after double-negation collapse the
     right conjunct may have lost its leading negation, so it is
     un-negated either way.
     """
-    f = canon(f)
     if isinstance(f, Not) and isinstance(f.sub, And):
         right = f.sub.right
         b = right.sub if isinstance(right, Not) else Not(right)
@@ -270,7 +279,7 @@ def check(derivation, system=None):
     if system not in SYSTEMS:
         return CheckResult(False, None, f"unknown system {system!r}")
     spec = SYSTEMS[system]
-    proved = {}
+    proved = {}  # line number -> canon form of its formula
 
     def fail(line, msg):
         return CheckResult(False, line.number, msg)
@@ -282,6 +291,7 @@ def check(derivation, system=None):
                 raise KeyError(n)
             return proved[n]
 
+        form = canon(line.formula)
         try:
             rule = line.rule
             if rule == "AX":
@@ -294,11 +304,11 @@ def check(derivation, system=None):
                                       f"{syntax.pretty(want)}")
             elif rule == "MP":
                 imp = _as_implication(cited(line.args[0]))
-                minor = canon(cited(line.args[1]))
+                minor = cited(line.args[1])
                 if imp is None:
                     return fail(line, "MP major premise is not an "
                                       "implication")
-                if imp[0] != minor or imp[1] != canon(line.formula):
+                if imp[0] != minor or imp[1] != form:
                     return fail(line, "MP shape mismatch")
             elif rule == "NEC":
                 kind = line.args[0]
@@ -307,7 +317,7 @@ def check(derivation, system=None):
                         return fail(line, f"settledness necessitation is "
                                           f"not primitive in {system}")
                     prev = cited(line.args[1])
-                    if canon(line.formula) != canon(Box(prev)):
+                    if form != Box(prev):
                         return fail(line, "NEC box shape mismatch")
                 elif kind == "agent":
                     if "agent" not in spec["nec"]:
@@ -315,13 +325,13 @@ def check(derivation, system=None):
                                           f"primitive in {system}")
                     a = int(line.args[1])
                     prev = cited(line.args[2])
-                    if canon(line.formula) != canon(Cstit(a, prev)):
+                    if form != Cstit(a, prev):
                         return fail(line, "NEC agent shape mismatch")
                 else:
                     return fail(line, f"unknown NEC kind {kind!r}")
             elif rule == "PL":
                 premises = [cited(tok) for tok in line.args]
-                if not _pl_consequence(premises, line.formula):
+                if not _pl_entails(premises, form):
                     return fail(line, "not a propositional consequence "
                                       "of the cited lines")
             elif rule in ("RK", "RKD"):
@@ -346,7 +356,7 @@ def check(derivation, system=None):
                     return fail(line, f"{rule} premise is not an "
                                       f"implication")
                 want = Implies(wrap(imp[0]), wrap(imp[1]))
-                if canon(line.formula) != canon(want):
+                if form != canon(want):
                     return fail(line, f"{rule} shape mismatch: expected "
                                       f"{syntax.pretty(canon(want))}")
             else:
@@ -355,7 +365,7 @@ def check(derivation, system=None):
             return fail(line, f"cites unproved line {e.args[0]}")
         except (IndexError, ValueError) as e:
             return fail(line, f"malformed justification: {e}")
-        proved[line.number] = line.formula
+        proved[line.number] = form
     return CheckResult(True, None, f"{len(derivation.lines)} lines accepted")
 
 

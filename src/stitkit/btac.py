@@ -70,6 +70,11 @@ class BtacModel:
                 root = w
             else:
                 children[p].append(w)
+        for w, k in self.multiplicity.items():
+            if children.get(w) != []:
+                raise ValueError(f"histories at {w}, which is not a leaf")
+            if k < 1:
+                raise ValueError(f"histories {k} at {w} is below 1")
         names = []
         leaf_of = {}
 
@@ -311,6 +316,9 @@ def parse_model(text):
             parent[w] = None
             rest = toks[2:]
             while rest:
+                if len(rest) == 1:
+                    raise ValueError(f"moment {w}: {rest[0]!r} needs a "
+                                     f"value")
                 if rest[0] == "parent":
                     parent[w] = rest[1]
                 elif rest[0] == "histories":

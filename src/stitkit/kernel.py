@@ -1,6 +1,13 @@
 """Bit-parallel evaluation: formulas and boolean programs run over many
 valuations at once, packed into Python integers.
 
+There is one program format.  A program is a pair of lists ``(ops,
+args)`` with one node per distinct subformula, children before parents
+and the root last; ``args[i]`` is a pair of node indices or of an index
+and a relation (see ``compile_formula``).  ``_values`` is the one loop
+that evaluates it, on bit-parallel values, for both the scans and
+``columns``.
+
 A *frame* is a world set of size ``n_points`` together with one partition
 per relation (one relation per agent, plus the settledness relation last).
 Cells are encoded as bitmasks over the points.  A *valuation index* ``v``
@@ -14,7 +21,7 @@ packs one point-mask per atom: atom ``a`` is true exactly at the points in
 runs on ``2**_SCAN_CHUNK_BITS`` slots at once; ALLBLOCK tests containment
 with the SWAR zero-detect ``guard & ~((t | guard) - low_bits)``, which
 never borrows across slots.  ``eval_mask`` is the one-valuation
-reference the scans are tested against.
+reference the scans are tested against; it shares no code with them.
 
 ``columns`` runs a boolean program over leaves under every assignment,
 each node one bit column over ``2**_COLUMN_CHUNK_BITS`` assignments at a
@@ -27,14 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .syntax import And, Atom, Box, Cstit, Dstit, Not
+from .syntax import And, Atom, Box, Cstit, Dstit, Not, subformulas
 
 OP_ATOM = 0
 OP_NOT = 1
 OP_AND = 2
 OP_ALLBLOCK = 3
-OP_DUP = 4
-OP_SWAP = 5
 
 # a scan packs 2**_SCAN_CHUNK_BITS valuations into one integer per atom
 _SCAN_CHUNK_BITS = 16
@@ -59,81 +64,67 @@ class Frame:
 
 
 def compile_formula(f, atom_order, agent_order):
-    """Compile to (ops, args) lists; unknown atoms compile to constant false.
+    """Compile to an indexed program ``(ops, args)``; unknown atoms compile
+    to constant false.
 
-    ``atom_order``: atom name -> atom slot; ``agent_order``: agent -> relation
-    index.  The settledness relation index is ``len(agent_order)``.
+    One node per distinct subformula, in the order of
+    ``syntax.subformulas(f)``, so the root is last.  ``args[i]`` is a pair:
+    ``(slot, 0)`` for ``OP_ATOM`` (slot -1 for an atom missing from
+    ``atom_order``), ``(x, 0)`` for ``OP_NOT``, ``(x, y)`` for ``OP_AND``
+    and ``(x, relation)`` for ``OP_ALLBLOCK``, where ``x`` and ``y`` index
+    earlier nodes.  ``{i}g`` becomes the four nodes ``[i]g``, ``[]g``,
+    ``~[]g`` and their conjunction over the one node of ``g``.
+
+    ``atom_order``: atom name -> atom slot; ``agent_order``: agent ->
+    relation index.  The settledness relation index is
+    ``len(agent_order)``.
     """
-    ops, args = [], []
+    ops, args, at = [], [], {}
     box_rel = len(agent_order)
-
-    def emit(g):
+    for g in subformulas(f):
         if isinstance(g, Atom):
-            ops.append(OP_ATOM)
-            args.append(atom_order.get(g.name, -1))
+            op, arg = OP_ATOM, (atom_order.get(g.name, -1), 0)
         elif isinstance(g, Not):
-            emit(g.sub)
-            ops.append(OP_NOT)
-            args.append(0)
+            op, arg = OP_NOT, (at[g.sub], 0)
         elif isinstance(g, And):
-            emit(g.left)
-            emit(g.right)
-            ops.append(OP_AND)
-            args.append(0)
+            op, arg = OP_AND, (at[g.left], at[g.right])
         elif isinstance(g, Cstit):
-            emit(g.sub)
-            ops.append(OP_ALLBLOCK)
-            args.append(agent_order[g.agent])
+            op, arg = OP_ALLBLOCK, (at[g.sub], agent_order[g.agent])
         elif isinstance(g, Box):
-            emit(g.sub)
-            ops.append(OP_ALLBLOCK)
-            args.append(box_rel)
+            op, arg = OP_ALLBLOCK, (at[g.sub], box_rel)
         elif isinstance(g, Dstit):
-            # {i}g == [i]g & ~[]g, sharing the sub-result via DUP/SWAP
-            emit(g.sub)
-            ops.append(OP_DUP)
-            args.append(0)
-            ops.append(OP_ALLBLOCK)
-            args.append(box_rel)
-            ops.append(OP_NOT)
-            args.append(0)
-            ops.append(OP_SWAP)
-            args.append(0)
-            ops.append(OP_ALLBLOCK)
-            args.append(agent_order[g.agent])
-            ops.append(OP_AND)
-            args.append(0)
+            x, k = at[g.sub], len(ops)
+            ops += (OP_ALLBLOCK, OP_ALLBLOCK, OP_NOT)
+            args += ((x, agent_order[g.agent]), (x, box_rel), (k + 1, 0))
+            op, arg = OP_AND, (k, k + 2)
         else:
             raise TypeError(f"not a formula: {g!r}")
-
-    emit(f)
+        at[g] = len(ops)
+        ops.append(op)
+        args.append(arg)
     return ops, args
 
 
 def eval_mask(ops, args, frame, atom_masks):
-    """Reference single-valuation evaluator; returns the truth bitmask."""
+    """Reference single-valuation evaluator; returns the truth bitmask of
+    the root."""
     full = frame.full_mask
-    stack = []
-    for op, arg in zip(ops, args):
+    val = []
+    for op, (x, y) in zip(ops, args):
         if op == OP_ATOM:
-            stack.append(atom_masks[arg] if arg >= 0 else 0)
+            val.append(atom_masks[x] if x >= 0 else 0)
         elif op == OP_NOT:
-            stack[-1] = full & ~stack[-1]
+            val.append(full & ~val[x])
         elif op == OP_AND:
-            b = stack.pop()
-            stack[-1] &= b
-        elif op == OP_ALLBLOCK:
-            m = stack[-1]
+            val.append(val[x] & val[y])
+        else:  # OP_ALLBLOCK
+            m = val[x]
             acc = 0
-            for cell in frame.blocks[arg]:
+            for cell in frame.blocks[y]:
                 if m & cell == cell:
                     acc |= cell
-            stack[-1] = acc
-        elif op == OP_DUP:
-            stack.append(stack[-1])
-        else:  # OP_SWAP
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-    return stack[-1]
+            val.append(acc)
+    return val[-1]
 
 
 def decode_valuation(v, n_points, atom_names):
@@ -199,11 +190,10 @@ def _scan(ops, args, frame, n_atoms, want_sat):
     atom_low = [_atom_low(n, s, a) for a in range(n_atoms)]
 
     for base in range(0, 1 << total_bits, n_slots):
-        atom_masks = []
-        for a in range(n_atoms):
-            hi = (base >> (a * n)) & ones
-            atom_masks.append(atom_low[a] | (low * hi))
-        res = _run(ops, args, frame.blocks, atom_masks, low, guard, full, n)
+        leaves = [atom_low[a] | (low * ((base >> (a * n)) & ones))
+                  for a in range(n_atoms)]
+        res = _values(ops, args, leaves, full, frame.blocks, low, guard,
+                      n)[-1]
         probe = res if want_sat else (full & ~res)
         if probe:
             bit = (probe & -probe).bit_length() - 1
@@ -211,29 +201,28 @@ def _scan(ops, args, frame, n_atoms, want_sat):
     return None
 
 
-def _run(ops, args, blocks, atom_masks, low, guard, full, n):
-    stack = []
-    for op, arg in zip(ops, args):
+def _values(ops, args, leaves, full, blocks, low, guard, n):
+    """Every node's value of a program, each a bit-parallel subset of
+    ``full``; ``OP_ATOM`` slot ``x`` reads ``leaves[x]``.  Only
+    ``OP_ALLBLOCK`` reads ``blocks``, ``low``, ``guard`` and ``n``."""
+    val = []
+    push = val.append
+    for op, (x, y) in zip(ops, args):
         if op == 0:  # ATOM
-            stack.append(atom_masks[arg] if arg >= 0 else 0)
+            push(leaves[x] if x >= 0 else 0)
         elif op == 1:  # NOT
-            stack[-1] = full & ~stack[-1]
+            push(full ^ val[x])
         elif op == 2:  # AND
-            b = stack.pop()
-            stack[-1] &= b
-        elif op == 3:  # ALLBLOCK
-            m = stack[-1]
+            push(val[x] & val[y])
+        else:  # ALLBLOCK
+            m = val[x]
             acc = 0
-            for cell in blocks[arg]:
+            for cell in blocks[y]:
                 t = (low * cell) & ~m
                 z = guard & ~((t | guard) - low)
                 acc |= cell * (z >> n)
-            stack[-1] = acc
-        elif op == 4:  # DUP
-            stack.append(stack[-1])
-        else:  # SWAP
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-    return stack[-1]
+            push(acc)
+    return val
 
 
 def scan_sat(ops, args, frame, n_atoms):
@@ -246,19 +235,19 @@ def scan_valid(ops, args, frame, n_atoms):
     return _scan(ops, args, frame, n_atoms, False)
 
 
-def columns(prog, n_leaves):
+def columns(ops, args, n_leaves):
     """Bit columns of a boolean program under every leaf assignment.
 
-    ``prog`` is a post-order list of ``(op, x, y)`` nodes:
-    ``(OP_ATOM, k, _)`` is leaf ``k``, ``(OP_NOT, x, _)`` negates node
-    ``x`` and ``(OP_AND, x, y)`` conjoins nodes ``x`` and ``y``.
-    Assignment ``a`` gives leaf ``k`` the value of bit ``k`` of ``a``.
+    ``(ops, args)`` is an indexed program of ``OP_ATOM``, ``OP_NOT`` and
+    ``OP_AND`` nodes, as ``compile_formula`` builds: ``(OP_ATOM, (k, 0))``
+    is leaf ``k``.  Assignment ``a`` gives leaf ``k`` the value of bit
+    ``k`` of ``a``.
 
     Yields ``(full, col)`` per chunk of ``2**_COLUMN_CHUNK_BITS``
     assignments (fewer when there are fewer leaves), in ascending order:
     bit ``b`` of ``col[i]`` is the value of node ``i`` under assignment
     ``base + b``, and ``full`` has one bit set per assignment of the
-    chunk.  The list ``col`` is reused from one chunk to the next.
+    chunk.
     """
     c = min(n_leaves, _COLUMN_CHUNK_BITS)
     width = 1 << c
@@ -266,13 +255,7 @@ def columns(prog, n_leaves):
     # leaf k < c alternates runs of 2**k zeros and 2**k ones
     pattern = [_slot_lsb(1 << (c - k - 1), 1 << (k + 1))
                * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(c)]
-    col = [0] * len(prog)
     for base in range(0, 1 << n_leaves, width):
-        for i, (op, x, y) in enumerate(prog):
-            if op == OP_ATOM:
-                col[i] = pattern[x] if x < c else full if base >> x & 1 else 0
-            elif op == OP_NOT:
-                col[i] = full ^ col[x]
-            else:
-                col[i] = col[x] & col[y]
-        yield full, col
+        leaves = pattern + [full if base >> k & 1 else 0
+                            for k in range(c, n_leaves)]
+        yield full, _values(ops, args, leaves, full, None, 0, 0, 0)

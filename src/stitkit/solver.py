@@ -96,23 +96,25 @@ def _types(g):
     """
     sf = syntax.subformulas(g)
     idx = {s: i for i, s in enumerate(sf)}
-    prog, modal, n_leaves = [], [], 0
+    ops, args, modal, n_leaves = [], [], [], 0
     for i, s in enumerate(sf):
         if isinstance(s, Not):
-            prog.append((kernel.OP_NOT, idx[s.sub], 0))
+            op, arg = kernel.OP_NOT, (idx[s.sub], 0)
         elif isinstance(s, And):
-            prog.append((kernel.OP_AND, idx[s.left], idx[s.right]))
+            op, arg = kernel.OP_AND, (idx[s.left], idx[s.right])
         else:
-            prog.append((kernel.OP_ATOM, n_leaves, 0))
+            op, arg = kernel.OP_ATOM, (n_leaves, 0)
             n_leaves += 1
             if not isinstance(s, Atom):
                 modal.append((i, idx[s.sub]))
+        ops.append(op)
+        args.append(arg)
     if n_leaves > ENGINE_MAX_LEAVES:
         raise InconclusiveError(
             f"{n_leaves} independent subformulas exceed the engine cap",
             {"cap": "leaves", "leaves": n_leaves})
     out = []
-    for full, col in kernel.columns(prog, n_leaves):
+    for full, col in kernel.columns(ops, args, n_leaves):
         ok = full
         for i, body in modal:
             ok &= ~col[i] | col[body]

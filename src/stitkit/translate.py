@@ -46,29 +46,26 @@ def _polarities(f, kind):
     """Map each non-atomic operand g of a `kind` node of f to the set of
     polarities (+1, -1) at which its fresh atom occurs in the output."""
     pols = {}
-    seen = set()
-
-    def walk(h, pol):
-        if (h, pol) in seen or isinstance(h, Atom):
-            return
-        seen.add((h, pol))
+    # polarities at which each node occurs; parents come before children
+    reach = {f: {1}}
+    for h in reversed(subformulas(f)):
+        if isinstance(h, Atom):
+            continue
+        at = reach[h]
         if isinstance(h, Not):
-            walk(h.sub, -pol)
+            reach.setdefault(h.sub, set()).update(-p for p in at)
         elif isinstance(h, And):
-            walk(h.left, pol)
-            walk(h.right, pol)
+            reach.setdefault(h.left, set()).update(at)
+            reach.setdefault(h.right, set()).update(at)
         elif isinstance(h, kind):
             # {i} rewrites to s under [i] and under ~[]: both polarities;
             # [i] rewrites to the monotone ({i}s | []s): the node's own.
-            uses = (pol, -pol) if kind is Dstit else (pol,)
+            uses = {-p for p in at} | at if kind is Dstit else at
             if not isinstance(h.sub, Atom):
                 pols.setdefault(h.sub, set()).update(uses)
-            for p in uses:
-                walk(h.sub, p)
+            reach.setdefault(h.sub, set()).update(uses)
         else:
-            walk(h.sub, pol)
-
-    walk(f, 1)
+            reach.setdefault(h.sub, set()).update(at)
     return pols
 
 
@@ -84,36 +81,28 @@ def _translate(f, kind):
     pols = _polarities(f, kind)
     taken = syntax.atoms(f)
     names = (Atom(f"_b{k}") for k in count() if f"_b{k}" not in taken)
-    fresh, clauses, memo = {}, [], {}
-
-    def name(g):
-        if g not in fresh:
-            body = t(g)
-            fresh[g] = s = next(names)
-            clauses.append(Box(_definition(s, body, pols[g])))
-        return fresh[g]
-
-    def t(h):
-        if h in memo:
-            return memo[h]
+    fresh, clauses, out = {}, [], {}
+    # children first, so a fresh atom is named at the first `kind` node
+    # over its operand, after every name made inside that operand
+    for h in subformulas(f):
         if isinstance(h, Atom):
-            out = h
+            out[h] = h
         elif isinstance(h, Not):
-            out = Not(t(h.sub))
+            out[h] = Not(out[h.sub])
         elif isinstance(h, And):
-            out = And(t(h.left), t(h.right))
+            out[h] = And(out[h.left], out[h.right])
         elif isinstance(h, Box):
-            out = Box(t(h.sub))
+            out[h] = Box(out[h.sub])
         elif isinstance(h, kind):
-            out = _rewrite(h, h.sub if isinstance(h.sub, Atom)
-                           else name(h.sub))
+            g = h.sub
+            if not isinstance(g, Atom) and g not in fresh:
+                fresh[g] = s = next(names)
+                clauses.append(Box(_definition(s, out[g], pols[g])))
+            out[h] = _rewrite(h, g if isinstance(g, Atom) else fresh[g])
         else:
             raise TypeError(f"not a formula: {h!r}")
-        memo[h] = out
-        return out
-
-    out = t(f)
-    return And(out, conjoin(clauses)) if clauses else out
+    top = out[f]
+    return And(top, conjoin(clauses)) if clauses else top
 
 
 def tr(f):

@@ -1,10 +1,11 @@
 """Shared test utilities: formula generators, small-model helpers, the
-recursive reference parser, the scalar references of the bit-parallel
-inner loops, and measures that only the tests read."""
+recursive reference parser and translation, the scalar references of the
+bit-parallel inner loops, and measures that only the tests read."""
 
 import itertools
 import random
 import re
+from itertools import count
 
 from stitkit import syntax
 from stitkit.axioms import canon
@@ -13,7 +14,8 @@ from stitkit.solver import (ENGINE_MAX_LEAVES, InconclusiveError,
                             _subsets_desc)
 from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
                             Implies, Not, Or, PosCstit, SyntaxError_,
-                            length)
+                            conjoin, length)
+from stitkit.translate import _definition, _rewrite
 
 
 def exhaustive_formulas(max_length, atom_names=("p", "q"), agents=(0, 1),
@@ -220,6 +222,67 @@ class _ReferenceParser:
 def reference_parse(text):
     """syntax.parse as recursive descent: same ASTs, same errors."""
     return _ReferenceParser(text).parse_top()
+
+
+# -- recursive reference for translate.tr and translate.tr_prime ----------
+
+def reference_translate(f, kind):
+    """translate._translate as the recursive walks it replaced: tr for
+    kind Dstit, tr_prime for kind Cstit, without the language guards."""
+    pols = {}
+    seen = set()
+
+    def walk(h, pol):
+        if (h, pol) in seen or isinstance(h, Atom):
+            return
+        seen.add((h, pol))
+        if isinstance(h, Not):
+            walk(h.sub, -pol)
+        elif isinstance(h, And):
+            walk(h.left, pol)
+            walk(h.right, pol)
+        elif isinstance(h, kind):
+            uses = (pol, -pol) if kind is Dstit else (pol,)
+            if not isinstance(h.sub, Atom):
+                pols.setdefault(h.sub, set()).update(uses)
+            for p in uses:
+                walk(h.sub, p)
+        else:
+            walk(h.sub, pol)
+
+    walk(f, 1)
+    taken = syntax.atoms(f)
+    names = (Atom(f"_b{k}") for k in count() if f"_b{k}" not in taken)
+    fresh, clauses, memo = {}, [], {}
+
+    def name(g):
+        if g not in fresh:
+            body = t(g)
+            fresh[g] = s = next(names)
+            clauses.append(Box(_definition(s, body, pols[g])))
+        return fresh[g]
+
+    def t(h):
+        if h in memo:
+            return memo[h]
+        if isinstance(h, Atom):
+            out = h
+        elif isinstance(h, Not):
+            out = Not(t(h.sub))
+        elif isinstance(h, And):
+            out = And(t(h.left), t(h.right))
+        elif isinstance(h, Box):
+            out = Box(t(h.sub))
+        elif isinstance(h, kind):
+            out = _rewrite(h, h.sub if isinstance(h.sub, Atom)
+                           else name(h.sub))
+        else:
+            raise TypeError(f"not a formula: {h!r}")
+        memo[h] = out
+        return out
+
+    out = t(f)
+    return And(out, conjoin(clauses)) if clauses else out
 
 
 # -- scalar references for solver._types and solver._search_group --------

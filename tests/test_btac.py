@@ -123,6 +123,19 @@ def test_tree_structure_errors():
         parse_model("btac\nmoment m1\nval p: m1/h9")
 
 
+def test_moment_attribute_errors():
+    for text, message in (
+            ("moment m1 parent", "'parent' needs a value"),
+            ("moment m1 histories 0", "histories 0 at m1 is below 1"),
+            ("moment m1 histories -1", "histories -1 at m1 is below 1"),
+            ("moment m1 histories 3\nmoment m2 parent m1",
+             "histories at m1, which is not a leaf")):
+        with pytest.raises(ValueError, match=message):
+            parse_model("btac\n" + text)
+    with pytest.raises(ValueError, match="m9, which is not a leaf"):
+        BtacModel(("m1",), {"m1": None}, {}, {}, {"m9": 2})
+
+
 def test_set_partitions():
     parts = list(set_partitions(["a", "b", "c"]))
     assert len(parts) == 5

@@ -189,7 +189,8 @@ def test_oracle_parse_error_exit_2(capsys):
 
 
 DEEP_PARSE = "~" * 3000 + "p"
-DEEP_TRANSLATE = "[0]~" * 300 + "p"
+DEEP_TRANSLATE = "[0]~" * 3000 + "p"
+DEEP_TRANSLATE_CSTIT = "{0}~" * 3000 + "p"
 
 
 def test_deep_formula_parse_exit_0(capsys):
@@ -204,6 +205,11 @@ def test_deep_formula_translate_exit_0(capsys):
     assert cli.main(["translate", DEEP_TRANSLATE, "--to", "dstit"]) == 0
     out = capsys.readouterr().out.strip()
     want = translate.tr_prime(syntax.parse(DEEP_TRANSLATE))
+    assert out == syntax.pretty(want)
+    assert syntax.parse(out) == want
+    assert cli.main(["translate", DEEP_TRANSLATE_CSTIT, "--to", "cstit"]) == 0
+    out = capsys.readouterr().out.strip()
+    want = translate.tr(syntax.parse(DEEP_TRANSLATE_CSTIT))
     assert out == syntax.pretty(want)
     assert syntax.parse(out) == want
 
@@ -227,6 +233,10 @@ BAD_MODELS = {
                                      "part 0: {a b}\npart 1: {a} {b}\n",
     "moment-val-unknown-world": "moment agents=1\nworlds: a b\n"
                                 "part 0: {a b}\nval p: a z\n",
+    "btac-parent-without-value": "btac\nmoment m1 parent\n",
+    "btac-zero-histories": "btac\nmoment m1 histories 0\n",
+    "btac-histories-on-inner-moment": "btac\nmoment m1 histories 3\n"
+                                      "moment m2 parent m1\n",
 }
 
 

@@ -1,8 +1,11 @@
 import random
+import sys
+import time
 
 import pytest
 
-from stitkit import kernel, syntax
+from stitkit import kernel, kripke, solver, syntax
+from stitkit.syntax import And, Atom, Box, Cstit, Dstit, Not
 
 from helpers import random_corpus
 
@@ -88,3 +91,105 @@ def test_valuation_bit_guard():
 
 def test_backend_selected():
     assert kernel.BACKEND_NAME == "py"
+
+
+# -- the compiled program ---------------------------------------------------
+
+SHARED = ["((p & q) & ~(p & q))", "({0}(p & r) & [1]{0}(p & r))",
+          "(({0}p & {1}p) & ({0}p & []p))", "~~r", "([0]s & [](s & t))",
+          "({1}{1}q & ~{0}{1}q)", "(([]p & {0}p) & [](p & {0}p))"]
+
+
+def test_compile_one_node_per_subformula():
+    atom_order, agent_order = {"p": 0, "q": 1}, {0: 0, 1: 1}
+    for text in SHARED:
+        f = syntax.parse(text)
+        ops, args = kernel.compile_formula(f, atom_order, agent_order)
+        assert len(ops) == len(args)
+        at, k = {}, 0
+        for g in syntax.subformulas(f):
+            if isinstance(g, Dstit):
+                x = at[g.sub]
+                assert ops[k:k + 4] == [kernel.OP_ALLBLOCK] * 2 + [
+                    kernel.OP_NOT, kernel.OP_AND]
+                assert args[k:k + 4] == [(x, g.agent), (x, 2), (k + 1, 0),
+                                         (k, k + 2)]
+                k += 3
+            elif isinstance(g, Atom):
+                assert (ops[k], args[k]) == (
+                    kernel.OP_ATOM, (atom_order.get(g.name, -1), 0))
+            elif isinstance(g, Not):
+                assert (ops[k], args[k]) == (kernel.OP_NOT, (at[g.sub], 0))
+            elif isinstance(g, And):
+                assert (ops[k], args[k]) == (
+                    kernel.OP_AND, (at[g.left], at[g.right]))
+            else:
+                rel = g.agent if isinstance(g, Cstit) else 2
+                assert (ops[k], args[k]) == (
+                    kernel.OP_ALLBLOCK, (at[g.sub], rel))
+            at[g] = k
+            k += 1
+        assert k == len(ops) and at[f] == k - 1, text
+        for i, (op, (x, y)) in enumerate(zip(ops, args)):
+            if op != kernel.OP_ATOM:
+                assert 0 <= x < i, text
+            if op == kernel.OP_AND:
+                assert 0 <= y < i, text
+
+
+def _frame_model(frame, v, atom_names):
+    n = frame.n_points
+    worlds = tuple(f"w{i}" for i in range(n))
+
+    def unmask(mask):
+        return frozenset(worlds[i] for i in range(n) if mask >> i & 1)
+
+    relations = {a: tuple(unmask(c) for c in frame.blocks[a])
+                 for a in range(len(frame.blocks) - 1)}
+    masks = kernel.decode_valuation(v, n, atom_names)
+    valuation = {p: unmask(m) for p, m in masks.items()}
+    return kripke.KripkeModel(worlds, relations, valuation, 2), masks
+
+
+def test_compiled_program_matches_model_checker():
+    # kripke.mc walks the formula itself, so a node index that points at
+    # the wrong subformula shows up as a disagreement
+    rng = random.Random(11)
+    frames = [fr for n in (1, 2, 3) for fr in solver.general_frames(n, 2)]
+    corpus = random_corpus(12, 1000, 16, atom_names=("p", "q", "r"))
+    atom_names = ("p", "q")
+    atom_order = {p: k for k, p in enumerate(atom_names)}
+    for f in corpus:
+        frame = rng.choice(frames)
+        v = rng.randrange(1 << (len(atom_names) * frame.n_points))
+        m, masks = _frame_model(frame, v, atom_names)
+        ops, args = kernel.compile_formula(f, atom_order, {0: 0, 1: 1})
+        truth = kernel.eval_mask(ops, args, frame,
+                                 [masks[p] for p in atom_names])
+        for i, w in enumerate(m.worlds):
+            assert bool(truth >> i & 1) == kripke.mc(m, w, f), \
+                syntax.pretty(f)
+
+
+DEPTH = 100_000
+
+
+def test_deep_programs_without_recursion():
+    # agent 0 sees one cell, agent 1 two; p true at point 0 only under
+    # valuation 1.  Then ~^D p (D even) is p, [0]^D p holds nowhere and
+    # {1}^D p holds at point 0.
+    start = time.process_time()
+    limit = sys.getrecursionlimit()
+    frame = kernel.Frame(2, ((3,), (1, 2), (3,)))
+    for level, first_sat, at_v1 in ((Not, (1, 0), 1),
+                                    (lambda g: Cstit(0, g), (3, 0), 0),
+                                    (lambda g: Dstit(1, g), (1, 0), 1)):
+        f = Atom("p")
+        for _ in range(DEPTH):
+            f = level(f)
+        ops, args = kernel.compile_formula(f, {"p": 0}, {0: 0, 1: 1})
+        assert len(ops) == DEPTH * (4 if isinstance(f, Dstit) else 1) + 1
+        assert kernel.scan_sat(ops, args, frame, 1) == first_sat
+        assert kernel.eval_mask(ops, args, frame, [1]) == at_v1
+    assert sys.getrecursionlimit() == limit
+    assert time.process_time() - start < 5.0

@@ -7,7 +7,8 @@ from stitkit.syntax import (And, Atom, Box, Cstit, Dstit, Iff, Implies,
                             length, parse, pretty, subformulas)
 from stitkit.translate import tr, tr_prime
 
-from helpers import blowup, exhaustive_formulas, random_corpus
+from helpers import (blowup, exhaustive_formulas, random_corpus,
+                     reference_translate)
 
 CFG2 = SolverConfig(agent_universe=2)
 
@@ -33,6 +34,20 @@ def test_language_guards():
         tr(parse("[0]p"))
     with pytest.raises(ValueError):
         tr_prime(parse("{0}p"))
+
+
+def test_translations_match_recursive_reference():
+    corpus = [*exhaustive_formulas(9), *random_corpus(5, 3000, 16)]
+    done = 0
+    for f in corpus:
+        sf = subformulas(f)
+        for fn, kind, other in ((tr, Dstit, Cstit), (tr_prime, Cstit, Dstit)):
+            if not any(isinstance(g, other) for g in sf):
+                want = reference_translate(f, kind)
+                out = fn(f)
+                assert out == want and pretty(out) == pretty(want), pretty(f)
+                done += 1
+    assert done == 10_276
 
 
 def _fresh_count(f, kind):
