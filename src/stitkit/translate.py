@@ -60,7 +60,7 @@ def _polarities(f, kind):
         elif isinstance(h, kind):
             # {i} rewrites to s under [i] and under ~[]: both polarities;
             # [i] rewrites to the monotone ({i}s | []s): the node's own.
-            uses = {-p for p in at} | at if kind is Dstit else at
+            uses = {1, -1} if kind is Dstit else at
             if not isinstance(h.sub, Atom):
                 pols.setdefault(h.sub, set()).update(uses)
             reach.setdefault(h.sub, set()).update(uses)
