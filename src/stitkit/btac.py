@@ -16,6 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
+from .kripke import int_field, key_line, once, unmet_choices
 from .syntax import And, Atom, Box, Cstit, Dstit, Not
 
 
@@ -164,16 +165,12 @@ def _superadditivity(m):
     out = []
     for w in m.moments:
         agents = sorted(a for (a, w2) in m.choice if w2 == w)
-        cellsets = [m.choice_cells(a, w) for a in agents]
-        for combo in itertools.product(*cellsets):
-            inter = m.histories_through(w)
-            for c in combo:
-                inter &= c
-            if not inter:
-                cells = ", ".join(
-                    f"agent {a}: {{{' '.join(sorted(c))}}}"
-                    for a, c in zip(agents, combo))
-                out.append(f"superadditivity fails at {w} ({cells})")
+        for combo in unmet_choices([m.choice_cells(a, w) for a in agents],
+                                   m.histories_through(w)):
+            cells = ", ".join(
+                f"agent {a}: {{{' '.join(sorted(c))}}}"
+                for a, c in zip(agents, combo))
+            out.append(f"superadditivity fails at {w} ({cells})")
     return out
 
 
@@ -302,12 +299,17 @@ def set_partitions(items):
 # -- text format ---------------------------------------------------------
 
 def parse_model(text):
+    """Parse the line-oriented BT+AC model format: a ``btac`` line, then
+    ``moment M [parent P] [histories K]``, ``choice A M: {...} ...`` and
+    ``val P: M/H ...`` lines.  A choice or val line appears at most once
+    per key."""
     lines = [ln.strip() for ln in text.strip().splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != "btac":
         raise ValueError("btac model text must start with 'btac'")
     moments, parent, multiplicity = [], {}, {}
-    choice_lines, val_lines = [], []
+    choice, valuation = {}, {}
+    seen = set()
     for ln in lines[1:]:
         if ln.startswith("moment "):
             toks = ln.split()
@@ -322,31 +324,27 @@ def parse_model(text):
                 if rest[0] == "parent":
                     parent[w] = rest[1]
                 elif rest[0] == "histories":
-                    multiplicity[w] = int(rest[1])
+                    multiplicity[w] = int_field(rest[1], ln)
                 else:
                     raise ValueError(f"bad moment attribute {rest[0]!r}")
                 rest = rest[2:]
         elif ln.startswith("choice "):
-            choice_lines.append(ln)
+            (agent, w), body = key_line(ln, "choice A M")
+            agent = int_field(agent, ln)
+            once(seen, f"choice {agent} {w}", ln)
+            choice[(agent, w)] = tuple(
+                frozenset(chunk.split())
+                for chunk in re.findall(r"\{([^{}]*)\}", body))
         elif ln.startswith("val "):
-            val_lines.append(ln)
+            (atom,), body = key_line(ln, "val P")
+            once(seen, f"val {atom}", ln)
+            pairs = set()
+            for tok in body.split():
+                w, _, h = tok.partition("/")
+                pairs.add((w, h))
+            valuation[atom] = pairs
         else:
             raise ValueError(f"unrecognized line {ln!r}")
-    choice = {}
-    for ln in choice_lines:
-        head, _, body = ln.partition(":")
-        _, agent, w = head.split()
-        cells = tuple(frozenset(chunk.split())
-                      for chunk in re.findall(r"\{([^{}]*)\}", body))
-        choice[(int(agent), w)] = cells
-    valuation = {}
-    for ln in val_lines:
-        head, _, body = ln.partition(":")
-        pairs = set()
-        for tok in body.split():
-            w, _, h = tok.partition("/")
-            pairs.add((w, h))
-        valuation[head.split()[1]] = pairs
     m = BtacModel(tuple(moments), parent, choice, valuation, multiplicity)
     known_h = set(m.histories)
     for (a, w), cells in choice.items():

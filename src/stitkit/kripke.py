@@ -11,15 +11,38 @@ documented in the README.  Agents within the declared universe that carry
 no stored relation are *padded*: they act universally inside each
 settledness class.
 
+GPP asks, for all w R_l u R_m v and every agent n, that R_n(w) meets
+R_i(v) for all i != n.  It holds exactly when every settledness class is
+rectangular: every choice of one cell per agent inside the class meets.
+Rectangular classes give GPP at once, since w and v above share a class.
+For the converse, assume GPP:
+
+(a) A path along agent relations shortens to two steps.  Given
+    w R_l u R_m v R_k x, GPP at n != k gives y with w R_n y and y R_k v,
+    so y R_k x by the transitivity of R_k, and w R_n y R_k x.  GPP at
+    n = 1 also turns each two-step path into one along R_1 then R_0.
+    So a settledness class is the set of worlds two steps from any of
+    its members.
+(b) By induction on the number of agents, cells c_0, ..., c_k of
+    agents 0, ..., k, chosen inside one class, meet.  One cell is
+    nonempty.  For more, take w in c_0 and, by induction, v in every c_i
+    with i >= 1.  By (a), w and v are two steps apart, so GPP at n = 0
+    gives a world of R_0(w) = c_0 and of every R_i(v) = c_i.
+
+check_gpp, the solver's frame enumeration and the BT+AC independence
+condition all test this one condition through unmet_choices.  A padded
+agent drops out of it: its cell is the whole class.
+
 Model files are line-oriented: a header ``kripke agents=N`` or
 ``moment agents=N``, a ``worlds:`` line, one ``rel A:`` (``part A:`` in
 a moment file) line of ``{...}`` cells per stored agent, and ``val P:``
 lines listing the worlds where an atom holds.  Lines starting with ``#``
-are comments.
+are comments.  A key line appears at most once.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -163,37 +186,37 @@ def _agent_cell(m, agent, w, class_of):
     return class_of(w)
 
 
-def check_gpp(m):
-    """General permutation property violations, as (w, v, l, m, n) tuples.
+def unmet_choices(parts, whole):
+    """Choices of one cell per partition that meet nowhere in ``whole``.
 
-    Quantifies l, m, n over the stored agents plus, when the universe is
-    larger, a single representative padded agent (padded agents all act
-    alike).  Relations must already be equivalence relations.
+    Yields each such choice as a tuple, in itertools.product order.
+    Cells and ``whole`` are bitmasks or frozensets alike.
+    """
+    for choice in itertools.product(*parts):
+        inter = whole
+        for c in choice:
+            inter &= c
+        if not inter:
+            yield choice
+
+
+def check_gpp(m):
+    """General permutation property violations, as tuples of cells.
+
+    Each tuple holds one cell per stored agent, in agent order, all in
+    one settledness class and with no world in common; classes come in
+    box_classes order.  Padded agents have the whole class as their
+    cell, so they cannot make a choice unmet.  On a MomentModel the one
+    class is the world set, so this checks rectangularity.  Relations
+    must already be equivalence relations.
     """
     eq = check_equivalence(m)
     if eq:
         raise ValueError("not equivalence relations: " + "; ".join(eq))
-    stored = sorted(m.relations)
-    agents = list(stored)
-    if m.agent_universe > len(stored):
-        padded = next(a for a in range(m.agent_universe)
-                      if a not in set(stored))
-        agents.append(padded)
-    class_of = _class_lookup(m)
-    out = []
-    for l in agents:
-        for mm in agents:
-            for w in m.worlds:
-                for u in _agent_cell(m, l, w, class_of):
-                    for v in _agent_cell(m, mm, u, class_of):
-                        for n in agents:
-                            need = set(_agent_cell(m, n, w, class_of))
-                            for i in agents:
-                                if i != n:
-                                    need &= _agent_cell(m, i, v, class_of)
-                            if not need:
-                                out.append((w, v, l, mm, n))
-    return sorted(set(out))
+    parts = [m.relations[a] for a in sorted(m.relations)]
+    return [choice for cls in box_classes(m)
+            for choice in unmet_choices(
+                [[c for c in cells if c <= cls] for cells in parts], cls)]
 
 
 def mc(m, w, f):
@@ -287,46 +310,53 @@ def filtrate_with_map(m, f):
     return out, world_map
 
 
-def check_rectangular(m):
-    """Rectangularity violations of a MomentModel, as tuples of cells
-    (one per stored agent) with empty intersection."""
-    agents = sorted(m.relations)
-    out = []
-
-    def walk(k, chosen, inter):
-        if not inter:
-            out.append(tuple(chosen))
-            return
-        if k == len(agents):
-            return
-        for c in m.relations[agents[k]]:
-            walk(k + 1, chosen + [c], inter & c)
-
-    walk(0, [], set(m.worlds))
-    return out
-
-
 def validate_model(m):
     """Violations of the model's class, as human-readable strings.
 
-    Both classes need partitions; a MomentModel needs them to meet
-    rectangularly, a KripkeModel needs the permutation property.
+    Both classes need partitions.  A MomentModel needs them to meet
+    rectangularly and a KripkeModel needs the permutation property,
+    which check_gpp tests as the same condition per settledness class;
+    the first unmet choice of cells is reported.
     """
     out = check_equivalence(m)
     if out:
         return out
-    if isinstance(m, MomentModel):
-        for cells in check_rectangular(m)[:1]:
-            text = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
-            out.append(f"partitions not rectangular: {text} do not meet")
-    else:
-        for w, v, l, mm, n in check_gpp(m)[:1]:
-            out.append(f"permutation property fails at w={w} v={v} "
-                       f"l={l} m={mm} n={n}")
+    label = ("partitions not rectangular" if isinstance(m, MomentModel)
+             else "permutation property fails")
+    for cells in check_gpp(m)[:1]:
+        text = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
+        out.append(f"{label}: {text} do not meet")
     return out
 
 
 # -- text format ---------------------------------------------------------
+
+def key_line(ln, form):
+    """Words after the keyword, and the text after the colon, of a line
+    shaped like ``form: ...`` (``form`` such as ``"choice A M"``)."""
+    head, colon, body = ln.partition(":")
+    words = head.split()
+    if not colon or len(words) != len(form.split()):
+        raise ValueError(f"bad line {ln!r}: expected '{form}: ...'")
+    return words[1:], body
+
+
+def int_field(text, ln):
+    """An integer field of a model-file line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad line {ln!r}: {text!r} is not an "
+                         f"integer") from None
+
+
+def once(seen, key, ln):
+    """Record a key line, rejecting a second line with the same key:
+    the later line would silently replace the earlier one."""
+    if key in seen:
+        raise ValueError(f"bad line {ln!r}: second '{key}' line")
+    seen.add(key)
+
 
 def parse_model(text):
     """Parse the line-oriented kripke/moment model format."""
@@ -338,25 +368,30 @@ def parse_model(text):
     if head[0] not in ("kripke", "moment") or len(head) != 2 \
             or not head[1].startswith("agents="):
         raise ValueError(f"bad header {lines[0]!r}")
-    universe = int(head[1].removeprefix("agents="))
+    universe = int_field(head[1].removeprefix("agents="), lines[0])
     kind = head[0]
     relkey = "rel" if kind == "kripke" else "part"
     worlds = None
     relations = {}
     valuation = {}
+    seen = set()
     for ln in lines[1:]:
         if ln.startswith("worlds:"):
+            once(seen, "worlds", ln)
             worlds = tuple(ln.removeprefix("worlds:").split())
+            if not worlds:
+                raise ValueError(f"bad line {ln!r}: no worlds")
         elif ln.startswith(relkey + " "):
-            key, _, body = ln.partition(":")
-            agent = int(key.split()[1])
-            cells = []
-            for chunk in re.findall(r"\{([^{}]*)\}", body):
-                cells.append(frozenset(chunk.split()))
-            relations[agent] = tuple(cells)
+            (agent,), body = key_line(ln, relkey + " A")
+            agent = int_field(agent, ln)
+            once(seen, f"{relkey} {agent}", ln)
+            relations[agent] = tuple(
+                frozenset(chunk.split())
+                for chunk in re.findall(r"\{([^{}]*)\}", body))
         elif ln.startswith("val "):
-            key, _, body = ln.partition(":")
-            valuation[key.split()[1]] = frozenset(body.split())
+            (atom,), body = key_line(ln, "val P")
+            once(seen, f"val {atom}", ln)
+            valuation[atom] = frozenset(body.split())
         else:
             raise ValueError(f"unrecognized line {ln!r}")
     if worlds is None:

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from . import kernel, syntax
 from .btac import set_partitions
-from .kripke import KripkeModel, MomentModel, mc
+from .kripke import KripkeModel, MomentModel, mc, unmet_choices
 from .syntax import And, Atom, Box, Cstit, Not
 
 ORACLE_MAX_WORLDS = 5
@@ -238,15 +238,17 @@ def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
         for _, _, union in combo:
             u &= union
         hit = u & root_mask
-        # f holds somewhere, every choice of one profile per agent is
-        # realized, every false [] and every false [a] in a chosen cell
-        # is refuted
-        if (hit and _rectangular([ms for _, ms, _ in combo])
-                and all(u & ~col(n) for n in box_negs)
+        # f holds somewhere, every false [] and every false [a] in a
+        # chosen cell is refuted, and every choice of one profile per
+        # agent is realized; the last test walks a product, so it runs
+        # on the fewest combinations
+        if (hit and all(u & ~col(n) for n in box_negs)
                 and all(u & m & ~col(sub)
                         for (rs, ms, _), subs in zip(combo, bodies)
                         for r, m in zip(rs, ms)
-                        for v, sub in zip(r, subs) if not v)):
+                        for v, sub in zip(r, subs) if not v)
+                and next(unmet_choices([ms for _, ms, _ in combo], ~0),
+                         None) is None):
             u_set = [t for j, t in enumerate(cand) if u >> j & 1]
             return u_set, cand[(hit & -hit).bit_length() - 1]
     return None
@@ -342,17 +344,6 @@ def _mask_partitions(n):
     return tuple(out)
 
 
-def _rectangular(parts):
-    """Every choice of one cell per agent intersects."""
-    for combo in itertools.product(*parts):
-        inter = ~0
-        for c in combo:
-            inter &= c
-        if not inter:
-            return False
-    return True
-
-
 def _components(parts, n):
     parent = list(range(n))
 
@@ -374,37 +365,6 @@ def _components(parts, n):
     return tuple(sorted(comp.values()))
 
 
-def _cell_of(cells, i):
-    for c in cells:
-        if (c >> i) & 1:
-            return c
-    raise ValueError
-
-
-def _frame_gpp(parts, n):
-    """Direct permutation-property check on bitmask partitions."""
-    a = len(parts)
-    for l in range(a):
-        for m in range(a):
-            for w in range(n):
-                cw = _cell_of(parts[l], w)
-                reach = 0
-                for u in range(n):
-                    if (cw >> u) & 1:
-                        reach |= _cell_of(parts[m], u)
-                for v in range(n):
-                    if not (reach >> v) & 1:
-                        continue
-                    for nn in range(a):
-                        need = _cell_of(parts[nn], w)
-                        for i in range(a):
-                            if i != nn:
-                                need &= _cell_of(parts[i], v)
-                        if not need:
-                            return False
-    return True
-
-
 def _canonical(parts, n):
     best = None
     for perm in itertools.permutations(range(n)):
@@ -418,47 +378,46 @@ def _canonical(parts, n):
 
 
 @lru_cache(maxsize=None)
-def moment_frames(n, n_agents):
-    """Single-class frames: rectangular partition tuples, deduplicated up
-    to world renaming.  Settledness is the full cell."""
+def _frames(n, n_agents):
+    """Partition tuples with the permutation property, deduplicated up
+    to world renaming: (one-class frames, multi-class frames), each in
+    itertools.product order.
+
+    A tuple has the property exactly when no settledness class has an
+    unmet choice of cells (see the kripke module).  The classes are the
+    components of the partitions, or the whole world set below two
+    agents, where settledness is universal by convention."""
     full = (1 << n) - 1
     seen = set()
-    out = []
+    out = ([], [])
     for parts in itertools.product(*(
             _mask_partitions(n) for _ in range(n_agents))):
-        if n_agents >= 2 and not _rectangular(parts):
+        classes = _components(parts, n) if n_agents >= 2 else (full,)
+        if any(next(unmet_choices([[c for c in cells if c & cls]
+                                   for cells in parts], cls), None)
+               is not None for cls in classes):
             continue
         key = _canonical(parts, n)
         if key in seen:
             continue
         seen.add(key)
-        out.append(kernel.Frame(n, parts + ((full,),)))
-    return tuple(out)
+        out[len(classes) > 1].append(kernel.Frame(n, parts + (classes,)))
+    return tuple(out[0]), tuple(out[1])
+
+
+@lru_cache(maxsize=None)
+def moment_frames(n, n_agents):
+    """Single-class frames: rectangular partition tuples, deduplicated up
+    to world renaming.  Settledness is the full cell."""
+    return _frames(n, n_agents)[0]
 
 
 @lru_cache(maxsize=None)
 def general_frames(n, n_agents):
     """Every frame with the permutation property, deduplicated: the
-    moment frames first, then the multi-class ones.
-
-    Under GPP a frame has one settledness class exactly when its
-    partitions are rectangular, so the moment frames are the one-class
-    frames.  With fewer than two agents the settledness relation is
-    universal by convention, so this coincides with moment_frames."""
-    if n_agents < 2:
-        return moment_frames(n, max(n_agents, 0))
-    seen = set()
-    out = list(moment_frames(n, n_agents))
-    for parts in itertools.product(*(
-            _mask_partitions(n) for _ in range(n_agents))):
-        if _rectangular(parts) or not _frame_gpp(parts, n):
-            continue
-        key = _canonical(parts, n)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(kernel.Frame(n, parts + (_components(parts, n),)))
-    return tuple(out)
+    moment frames first, then the multi-class ones."""
+    moment, multi = _frames(n, n_agents)
+    return moment + multi
 
 
 def _frame_model(frame, v, atom_names, agents, cfg):

@@ -1,6 +1,7 @@
 """Shared test utilities: formula generators, small-model helpers, the
 recursive reference parser and translation, the scalar references of the
-bit-parallel inner loops, and measures that only the tests read."""
+bit-parallel inner loops, the direct permutation-property checks, and
+measures that only the tests read."""
 
 import itertools
 import random
@@ -9,7 +10,8 @@ from itertools import count
 
 from stitkit import syntax
 from stitkit.axioms import canon
-from stitkit.kripke import KripkeModel, box_classes
+from stitkit.kripke import (KripkeModel, _agent_cell, _class_lookup,
+                            box_classes, check_equivalence)
 from stitkit.solver import (ENGINE_MAX_LEAVES, InconclusiveError,
                             _subsets_desc)
 from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
@@ -352,6 +354,73 @@ def reference_search_group(cand, agents, profiles, iprof, cstit_nodes,
             continue
         return u_set, t_sat
     return None
+
+
+# -- direct permutation-property checks, references for the per-class
+# rectangularity test in kripke.check_gpp and solver._frames ----------------
+
+def _cell_of(cells, i):
+    for c in cells:
+        if (c >> i) & 1:
+            return c
+    raise ValueError
+
+
+def reference_frame_gpp(parts, n):
+    """Direct permutation-property check on bitmask partitions."""
+    a = len(parts)
+    for l in range(a):
+        for m in range(a):
+            for w in range(n):
+                cw = _cell_of(parts[l], w)
+                reach = 0
+                for u in range(n):
+                    if (cw >> u) & 1:
+                        reach |= _cell_of(parts[m], u)
+                for v in range(n):
+                    if not (reach >> v) & 1:
+                        continue
+                    for nn in range(a):
+                        need = _cell_of(parts[nn], w)
+                        for i in range(a):
+                            if i != nn:
+                                need &= _cell_of(parts[i], v)
+                        if not need:
+                            return False
+    return True
+
+
+def reference_check_gpp(m):
+    """General permutation property violations, as (w, v, l, m, n) tuples.
+
+    Quantifies l, m, n over the stored agents plus, when the universe is
+    larger, a single representative padded agent (padded agents all act
+    alike).  Relations must already be equivalence relations.
+    """
+    eq = check_equivalence(m)
+    if eq:
+        raise ValueError("not equivalence relations: " + "; ".join(eq))
+    stored = sorted(m.relations)
+    agents = list(stored)
+    if m.agent_universe > len(stored):
+        padded = next(a for a in range(m.agent_universe)
+                      if a not in set(stored))
+        agents.append(padded)
+    class_of = _class_lookup(m)
+    out = []
+    for l in agents:
+        for mm in agents:
+            for w in m.worlds:
+                for u in _agent_cell(m, l, w, class_of):
+                    for v in _agent_cell(m, mm, u, class_of):
+                        for n in agents:
+                            need = set(_agent_cell(m, n, w, class_of))
+                            for i in agents:
+                                if i != n:
+                                    need &= _agent_cell(m, i, v, class_of)
+                            if not need:
+                                out.append((w, v, l, mm, n))
+    return sorted(set(out))
 
 
 # -- scalar reference for axioms._pl_consequence ----------------------------

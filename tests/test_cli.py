@@ -239,11 +239,48 @@ BAD_MODELS = {
                                       "moment m2 parent m1\n",
 }
 
+# files rejected for one line, which the message quotes: a key line
+# without its key, an integer field that is no integer, a worlds: line
+# without worlds, and a second key line that would replace the first
+BAD_LINES = {
+    "kripke-rel-without-agent": ("kripke agents=1\nworlds: a b\n",
+                                 "rel : {a b}"),
+    "kripke-val-without-atom": ("kripke agents=1\nworlds: a\n", "val : a"),
+    "moment-part-without-agent": ("moment agents=1\nworlds: a b\n",
+                                  "part : {a b}"),
+    "moment-val-without-atom": ("moment agents=1\nworlds: a\n", "val : a"),
+    "btac-val-without-atom": ("btac\nmoment m1\n", "val :m1/h1"),
+    "kripke-agents-not-integer": ("", "kripke agents=x"),
+    "kripke-rel-agent-not-integer": ("kripke agents=1\nworlds: a\n",
+                                     "rel x: {a}"),
+    "btac-histories-not-integer": ("btac\n", "moment m1 histories x"),
+    "btac-choice-agent-not-integer": ("btac\nmoment m1\n",
+                                      "choice x m1: {h1}"),
+    "btac-choice-without-moment": ("btac\nmoment m1\n", "choice 0: {h1}"),
+    "kripke-no-worlds": ("kripke agents=1\n", "worlds:"),
+    "kripke-second-worlds": ("kripke agents=1\nworlds: a\n", "worlds: a b"),
+    "kripke-second-rel": ("kripke agents=1\nworlds: a b\nrel 0: {a} {b}\n",
+                          "rel 0: {a b}"),
+    "moment-second-part": ("moment agents=1\nworlds: a b\n"
+                           "part 0: {a} {b}\n", "part 0: {a b}"),
+    "kripke-second-val": ("kripke agents=1\nworlds: a\nval p: a\n",
+                          "val p:"),
+    "btac-second-choice": ("btac\nmoment m1 histories 2\n"
+                           "choice 0 m1: {h1} {h2}\n", "choice 0 m1: {h1 h2}"),
+    "btac-second-val": ("btac\nmoment m1\nval p: m1/h1\n", "val p:"),
+}
+BAD_MODELS.update((name, head + line + "\n")
+                  for name, (head, line) in BAD_LINES.items())
 
-@pytest.mark.parametrize("text", BAD_MODELS.values(), ids=BAD_MODELS.keys())
-def test_bad_model_file_exit_2(capsys, tmp_path, text):
+
+@pytest.mark.parametrize("name", BAD_MODELS)
+def test_bad_model_file_exit_2(capsys, tmp_path, name):
+    text = BAD_MODELS[name]
     path = tmp_path / "bad.model"
     path.write_text(text)
-    assert cli.main(["check", str(path), "p", "--at", "a"]) == 2
+    at = "m1/h1" if text.startswith("btac") else "a"
+    assert cli.main(["check", str(path), "p", "--at", at]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if name in BAD_LINES:
+        assert repr(BAD_LINES[name][1]) in err

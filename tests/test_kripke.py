@@ -4,12 +4,12 @@ import pytest
 
 from stitkit import btac, kripke, syntax
 from stitkit.kripke import (KripkeModel, MomentModel, box_classes,
-                            check_equivalence, check_gpp,
-                            check_rectangular, filtrate, filtrate_with_map,
-                            format_model, mc, parse_model)
+                            check_equivalence, check_gpp, filtrate,
+                            filtrate_with_map, format_model, mc,
+                            parse_model, validate_model)
 from stitkit.syntax import parse, pretty, subformulas
 
-from helpers import generated_submodel, random_corpus
+from helpers import generated_submodel, random_corpus, reference_check_gpp
 
 PRODUCT = """
 moment agents=2
@@ -122,11 +122,53 @@ def test_check_gpp():
 
 
 def test_check_rectangular():
+    # on a MomentModel the one settledness class is the world set
     m = parse_model(PRODUCT)
-    assert check_rectangular(m) == []
+    assert check_gpp(m) == []
     bad = MomentModel(("a", "b"),
                       {0: ({"a"}, {"b"}), 1: ({"a"}, {"b"})}, {})
-    assert check_rectangular(bad)
+    assert check_gpp(bad) == [(frozenset("a"), frozenset("b")),
+                              (frozenset("b"), frozenset("a"))]
+    assert validate_model(bad) == [
+        "partitions not rectangular: {a} {b} do not meet"]
+    with pytest.raises(ValueError):
+        filtrate(bad, parse("p"))
+
+
+def _random_kripke(rng):
+    """A KripkeModel over 1-6 worlds with 0-3 stored agents, each cell
+    label drawn from a few, and sometimes padded agents."""
+    worlds = tuple(f"w{i}" for i in range(rng.randint(1, 6)))
+    stored = rng.sample(range(4), rng.randint(0, 3))
+    relations = {}
+    for a in stored:
+        labels = rng.randint(1, 3)
+        cells = {}
+        for w in worlds:
+            cells.setdefault(rng.randrange(labels), set()).add(w)
+        relations[a] = tuple(cells.values())
+    universe = max(stored, default=0) + 1 + rng.randint(0, 2)
+    return KripkeModel(worlds, relations, {}, universe)
+
+
+def test_check_gpp_matches_reference():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(500):
+        m = _random_kripke(rng)
+        new = check_gpp(m)
+        assert (new == []) == (reference_check_gpp(m) == []), \
+            format_model(m)
+        verdicts.add((len(m.relations), new == []))
+        # every reported choice is one cell per stored agent, in one
+        # class, with nothing in common
+        for cells in new:
+            assert len(cells) == len(m.relations)
+            assert not frozenset.intersection(*cells)
+            assert any(all(c <= cls for c in cells)
+                       for cls in box_classes(m))
+    # both verdicts occur among the models with two or three stored agents
+    assert {(2, True), (2, False), (3, True), (3, False)} <= verdicts
 
 
 def test_equivalence_checker():

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
                             sat_single_agent, valid)
 from stitkit.syntax import length, parse, pretty
 
-from helpers import (exhaustive_formulas, random_corpus, reference_search_group,
-                     reference_types)
+from helpers import (exhaustive_formulas, random_corpus, reference_frame_gpp,
+                     reference_search_group, reference_types)
 
 CFG2 = SolverConfig(agent_universe=2)
 CFG3 = SolverConfig(agent_universe=3)
@@ -97,6 +98,28 @@ def test_general_frames_extend_moment_frames():
             assert general[:len(moment)] == moment
             assert all(len(fr.blocks[-1]) > 1
                        for fr in general[len(moment):])
+
+
+def test_gpp_is_rectangularity_per_class():
+    # every partition tuple: the direct permutation-property check agrees
+    # with "no settledness class has an unmet choice of cells", and the
+    # frames list one tuple per renaming class of those that pass
+    for n_agents in (2, 3):
+        for n in range(1, 5):
+            passing = set()
+            for parts in itertools.product(*(
+                    solver._mask_partitions(n) for _ in range(n_agents))):
+                per_class = not any(
+                    next(kripke.unmet_choices(
+                        [[c for c in cells if c & cls] for cells in parts],
+                        cls), None) is not None
+                    for cls in solver._components(parts, n))
+                assert per_class == reference_frame_gpp(parts, n), parts
+                if per_class:
+                    passing.add(solver._canonical(parts, n))
+            frames = general_frames(n, n_agents)
+            keys = [solver._canonical(fr.blocks[:-1], n) for fr in frames]
+            assert sorted(keys) == sorted(passing)
 
 
 def test_frame_counts():
