@@ -212,15 +212,10 @@ def canon(f):
 _PL_MAX_LETTERS = 16
 
 
-def _pl_consequence(premises, conclusion):
-    """Truth-table entailment over maximal non-boolean subformulas of the
-    canon forms of premises and conclusion."""
-    return _pl_entails([canon(p) for p in premises], canon(conclusion))
-
-
 def _pl_entails(premises, conclusion):
-    """_pl_consequence of formulas already in canon form: the premises and
-    the negated conclusion, one kernel.columns program over those
+    """Truth-table entailment over the maximal non-boolean subformulas
+    of premises and conclusion, all already in canon form: the premises
+    and the negated conclusion, one kernel.columns program over those
     letters, must be false under every assignment."""
     letters, ops, args = {}, [], []
 
@@ -273,9 +268,9 @@ def _parse_ax_args(args):
     return name, bindings, agents, k
 
 
-def check(derivation, system=None):
+def check(derivation):
     """Verify every line; returns the first failure if any."""
-    system = system or derivation.system
+    system = derivation.system
     if system not in SYSTEMS:
         return CheckResult(False, None, f"unknown system {system!r}")
     spec = SYSTEMS[system]
@@ -444,12 +439,15 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
     which covers all branching-time models within the bounds because
     evaluation never leaves the current moment; ``models='kripke'``
     additionally sweeps multi-class frames with the permutation property.
-    Returns a report with any counterexamples (none expected).
+    ``max_points`` is capped like the oracle's ``max_worlds``, since both
+    walk the same frames.  Returns a report with any counterexamples
+    (none expected).
     """
     if models not in ("btac", "kripke"):
         raise ValueError(f"models must be 'btac' or 'kripke', not {models!r}")
-    if max_points < 1:
-        raise ValueError(f"max_points {max_points} is below 1")
+    if not 1 <= max_points <= solver.ORACLE_MAX_WORLDS:
+        raise ValueError(f"max_points {max_points} is outside the sweep "
+                         f"range 1..{solver.ORACLE_MAX_WORLDS}")
     grid = grid or default_grid()
     instances = schema_instances(name, max_k, grid)
     if not instances:

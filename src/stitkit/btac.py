@@ -12,7 +12,6 @@ Histories are auto-named h1, h2, ... in depth-first leaf order.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -78,18 +77,18 @@ class BtacModel:
                 raise ValueError(f"histories {k} at {w} is below 1")
         names = []
         leaf_of = {}
-
-        def walk(w):
-            if not children[w]:
-                for _ in range(self.multiplicity.get(w, 1)):
-                    h = f"h{len(names) + 1}"
-                    names.append(h)
-                    leaf_of[h] = w
-            else:
-                for c in children[w]:
-                    walk(c)
-
-        walk(root)
+        # depth first with an explicit stack, so a tree of any depth
+        # names its histories; children go on reversed to keep leaf order
+        stack = [root]
+        while stack:
+            w = stack.pop()
+            if children[w]:
+                stack.extend(reversed(children[w]))
+                continue
+            for _ in range(self.multiplicity.get(w, 1)):
+                h = f"h{len(names) + 1}"
+                names.append(h)
+                leaf_of[h] = w
         self.histories = tuple(names)
         self._leaf_of = leaf_of
         self._children = children
@@ -117,11 +116,6 @@ class BtacModel:
             if h in c:
                 return c
         raise KeyError((agent, w, h))
-
-    def indices(self):
-        return [(w, h) for w in self.moments
-                for h in sorted(self.histories_through(w),
-                                key=self.histories.index)]
 
 
 def validate_model(m):
@@ -202,100 +196,6 @@ def eval(m, idx, f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def valid_in_model(m, f):
-    return all(eval(m, idx, f) for idx in m.indices())
-
-
-_SAFE_BOUNDS = (2, 4, 2, 2)  # moments, histories, agents, atoms
-
-
-def enumerate_models(max_moments, max_histories, agent_count, atoms):
-    """Every valid model up to the bounds (duplicates possible).
-
-    Bounds are guarded against explosion; the documented safe maxima are
-    2 moments, 4 histories, 2 agents, 2 atoms.
-    """
-    limits = (max_moments, max_histories, agent_count, len(atoms))
-    if any(v > cap for v, cap in zip(limits, _SAFE_BOUNDS)):
-        raise ValueError(f"bounds {limits} exceed safe maxima "
-                         f"{_SAFE_BOUNDS}")
-    for n_m in range(1, max_moments + 1):
-        for parents in itertools.product(*(range(i) for i in range(1, n_m))):
-            moments = tuple(f"m{i + 1}" for i in range(n_m))
-            parent = {moments[0]: None}
-            for i, p in enumerate(parents, start=1):
-                parent[moments[i]] = moments[p]
-            children = {w: False for w in moments}
-            for i, p in enumerate(parents, start=1):
-                children[moments[p]] = True
-            leaves = [w for w in moments if not children[w]]
-            for mult in _leaf_multiplicities(len(leaves), max_histories):
-                yield from _models_on_tree(
-                    moments, parent, dict(zip(leaves, mult)),
-                    agent_count, atoms)
-
-
-def _leaf_multiplicities(n_leaves, max_histories):
-    for total in range(n_leaves, max_histories + 1):
-        for cut in itertools.combinations(range(1, total), n_leaves - 1):
-            bounds = (0,) + cut + (total,)
-            yield tuple(bounds[i + 1] - bounds[i] for i in range(n_leaves))
-
-
-def _models_on_tree(moments, parent, multiplicity, agent_count, atoms):
-    skeleton = BtacModel(moments, parent, {}, {}, multiplicity)
-    per_moment = []
-    for w in moments:
-        hw = sorted(skeleton.histories_through(w),
-                    key=skeleton.histories.index)
-        options = list(itertools.product(
-            *(set_partitions(hw) for _ in range(agent_count))))
-        per_moment.append([(w, combo) for combo in options])
-    index_pairs = skeleton.indices()
-    for assignment in itertools.product(*per_moment):
-        choice = {}
-        for w, combo in assignment:
-            for a, cells in enumerate(combo):
-                choice[(a, w)] = tuple(frozenset(c) for c in cells)
-        candidate = BtacModel(moments, parent, choice, {}, multiplicity)
-        if _superadditivity(candidate):
-            continue
-        for val_combo in itertools.product(
-                *(_subsets(index_pairs) for _ in atoms)):
-            valuation = {p: frozenset(ws)
-                         for p, ws in zip(atoms, val_combo)}
-            yield BtacModel(moments, parent, choice, valuation,
-                            multiplicity)
-
-
-def _subsets(items):
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
-
-
-def set_partitions(items):
-    """All partitions of a sequence, cells and cell lists sorted."""
-    items = list(items)
-    if not items:
-        return [()]
-    out = []
-
-    def grow(i, cells):
-        if i == len(items):
-            out.append(tuple(tuple(c) for c in cells))
-            return
-        for c in cells:
-            c.append(items[i])
-            grow(i + 1, cells)
-            c.pop()
-        cells.append([items[i]])
-        grow(i + 1, cells)
-        cells.pop()
-
-    grow(1, [[items[0]]])
-    return out
-
-
 # -- text format ---------------------------------------------------------
 
 def parse_model(text):
@@ -359,21 +259,3 @@ def parse_model(text):
                 raise ValueError(f"val {p}: unknown index {w}/{h}")
     return m
 
-
-def format_model(m):
-    lines = ["btac"]
-    for w in m.moments:
-        parts = [f"moment {w}"]
-        if m.parent.get(w) is not None:
-            parts.append(f"parent {m.parent[w]}")
-        if m.multiplicity.get(w, 1) != 1:
-            parts.append(f"histories {m.multiplicity[w]}")
-        lines.append(" ".join(parts))
-    for (a, w) in sorted(m.choice, key=lambda k: (m.moments.index(k[1]), k[0])):
-        cells = sorted(m.choice[(a, w)], key=lambda c: sorted(c))
-        body = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
-        lines.append(f"choice {a} {w}: {body}")
-    for p in sorted(m.valuation):
-        body = " ".join(f"{w}/{h}" for w, h in sorted(m.valuation[p]))
-        lines.append(f"val {p}: {body}")
-    return "\n".join(lines) + "\n"

@@ -298,11 +298,10 @@ def filtrate_with_map(m, f):
             groups.setdefault(key, set()).add(name)
         relations[a] = tuple(frozenset(g) for g in groups.values())
 
-    atom_names = syntax.atoms(f)
     valuation = {}
     for sig, name in class_names.items():
         for g in sf:
-            if isinstance(g, Atom) and g.name in atom_names and sig[sf_idx[g]]:
+            if isinstance(g, Atom) and sig[sf_idx[g]]:
                 valuation.setdefault(g.name, set()).add(name)
     out = KripkeModel(new_worlds, relations,
                       {p: frozenset(ws) for p, ws in valuation.items()},
@@ -381,6 +380,11 @@ def parse_model(text):
             worlds = tuple(ln.removeprefix("worlds:").split())
             if not worlds:
                 raise ValueError(f"bad line {ln!r}: no worlds")
+            if len(set(worlds)) < len(worlds):
+                twice = next(w for i, w in enumerate(worlds)
+                             if w in worlds[:i])
+                raise ValueError(f"bad line {ln!r}: world {twice!r} "
+                                 f"listed twice")
         elif ln.startswith(relkey + " "):
             (agent,), body = key_line(ln, relkey + " A")
             agent = int_field(agent, ln)

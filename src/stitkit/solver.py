@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import kernel, syntax
-from .btac import set_partitions
 from .kripke import KripkeModel, MomentModel, mc, unmet_choices
 from .syntax import And, Atom, Box, Cstit, Not
 
@@ -335,6 +334,29 @@ def _prune_single_agent(model, world, f):
 
 
 # -- frame enumeration for the oracle --------------------------------------
+
+def set_partitions(items):
+    """All partitions of a sequence, cells and cell lists sorted."""
+    items = list(items)
+    if not items:
+        return [()]
+    out = []
+
+    def grow(i, cells):
+        if i == len(items):
+            out.append(tuple(tuple(c) for c in cells))
+            return
+        for c in cells:
+            c.append(items[i])
+            grow(i + 1, cells)
+            c.pop()
+        cells.append([items[i]])
+        grow(i + 1, cells)
+        cells.pop()
+
+    grow(1, [[items[0]]])
+    return out
+
 
 @lru_cache(maxsize=None)
 def _mask_partitions(n):

@@ -423,11 +423,12 @@ def reference_check_gpp(m):
     return sorted(set(out))
 
 
-# -- scalar reference for axioms._pl_consequence ----------------------------
+# -- scalar reference for axioms._pl_entails --------------------------------
 
 def reference_pl_consequence(premises, conclusion, max_letters=16):
-    """axioms._pl_consequence one assignment at a time, over a tuple
-    skeleton of each canonical premise and of the conclusion."""
+    """axioms._pl_entails on the canon forms, one assignment at a time,
+    over a tuple skeleton of each canonical premise and of the
+    conclusion."""
     letters = {}
 
     def skel(f):

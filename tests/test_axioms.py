@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stitkit import axioms, solver
-from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_consequence, canon,
+from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_entails, canon,
                             check, default_grid, instantiate,
                             parse_derivation, schema_instances,
                             semantic_audit)
@@ -97,9 +97,9 @@ def _assert_pl_matches_reference(premises, conclusion):
                                         _PL_MAX_LETTERS)
     except ValueError:
         with pytest.raises(ValueError):
-            _pl_consequence(premises, conclusion)
+            _pl_entails([canon(p) for p in premises], canon(conclusion))
         return None
-    got = _pl_consequence(premises, conclusion)
+    got = _pl_entails([canon(p) for p in premises], canon(conclusion))
     assert got == want, ([pretty(p) for p in premises], pretty(conclusion))
     return want
 
@@ -263,6 +263,10 @@ def test_semantic_audit_rejects_empty_sweeps():
     for bound in (0, -1):
         with pytest.raises(ValueError):
             semantic_audit("S5Box-T", 1, max_points=bound)
+    # past the oracle's world cap the frame enumeration does not finish
+    bound = solver.ORACLE_MAX_WORLDS + 1
+    with pytest.raises(ValueError, match=f"max_points {bound} is outside"):
+        semantic_audit("S5Box-T", 1, max_points=bound)
     with pytest.raises(ValueError):
         semantic_audit("AIA", 0, max_points=3)
 

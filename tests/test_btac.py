@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from stitkit import btac
-from stitkit.btac import (BtacModel, enumerate_models, eval, format_model,
-                          parse_model, set_partitions, valid_in_model,
-                          validate_model)
-from stitkit.syntax import parse
+from helpers import random_corpus
+from stitkit import kernel
+from stitkit.btac import BtacModel, eval, parse_model, validate_model
+from stitkit.solver import set_partitions
+from stitkit.syntax import parse, pretty
 
 GARDEN = """
 btac
@@ -26,12 +27,6 @@ def test_parse_and_histories():
     m = garden()
     assert m.histories == ("h1", "h2", "h3", "h4")
     assert validate_model(m) == []
-
-
-def test_format_roundtrip():
-    m = garden()
-    again = parse_model(format_model(m))
-    assert format_model(again) == format_model(m)
 
 
 def test_eval_atoms_and_booleans():
@@ -144,23 +139,58 @@ def test_set_partitions():
         assert flat == ["a", "b", "c"]
 
 
-def test_enumerate_models_all_valid():
-    models = list(enumerate_models(2, 3, 2, ("p",)))
-    assert models
-    for m in models:
-        assert validate_model(m) == []
-    # settledness of tautologies holds everywhere
-    taut = parse("[](p | ~p)")
-    for m in models[:50]:
-        assert valid_in_model(m, taut)
+def _random_tree_model(rng):
+    """A tree of depth <= 2 and branching <= 3 with 1-2 histories per
+    leaf, a random partition of H_w for agents 0 and 1 at every moment
+    (not necessarily independent) and a random valuation of p and q."""
+    moments, parent, level = ["m0"], {"m0": None}, ["m0"]
+    for _ in range(2):
+        nxt = []
+        for w in level:
+            for _ in range(rng.randint(0, 3)):
+                c = f"m{len(moments)}"
+                moments.append(c)
+                parent[c] = w
+                nxt.append(c)
+        level = nxt
+    leaves = set(moments) - set(parent.values())
+    mult = {w: rng.randint(1, 2) for w in sorted(leaves)}
+    tree = BtacModel(moments, parent, {}, {}, mult)
+    choice, valuation = {}, {"p": set(), "q": set()}
+    for w in moments:
+        hw = sorted(tree.histories_through(w))
+        for a in (0, 1):
+            cells = {}
+            for h in hw:
+                cells.setdefault(rng.randrange(len(hw)), set()).add(h)
+            choice[(a, w)] = tuple(cells.values())
+        for pairs in valuation.values():
+            pairs.update((w, h) for h in hw if rng.random() < 0.5)
+    return BtacModel(moments, parent, choice, valuation, mult)
 
 
-def test_enumerate_models_guard():
-    with pytest.raises(ValueError):
-        list(enumerate_models(3, 4, 2, ("p",)))
-
-
-def test_valid_in_model():
-    m = garden()
-    assert valid_in_model(m, parse("({0}p -> ~[]p)"))
-    assert not valid_in_model(m, parse("p"))
+def test_eval_agrees_with_kernel_on_each_moment():
+    # what the btac sweep of axioms.semantic_audit relies on: truth at
+    # w/h depends only on the histories through w, so the moment frame
+    # of w (agent cells on H_w, settledness block (H_w,)) gives the same
+    # value as eval
+    rng = random.Random(41)
+    corpus = random_corpus(42, 150, 14)
+    for _ in range(30):
+        m = _random_tree_model(rng)
+        for w in m.moments:
+            hw = sorted(m.histories_through(w), key=m.histories.index)
+            bit = {h: 1 << i for i, h in enumerate(hw)}
+            blocks = tuple(tuple(sum(bit[h] for h in c)
+                                 for c in m.choice_cells(a, w))
+                           for a in (0, 1))
+            frame = kernel.Frame(len(hw), blocks + (((1 << len(hw)) - 1,),))
+            masks = [sum(bit[h] for h in hw if (w, h) in m.valuation[p])
+                     for p in ("p", "q")]
+            for f in rng.sample(corpus, 10):
+                ops, args = kernel.compile_formula(f, {"p": 0, "q": 1},
+                                                   {0: 0, 1: 1})
+                truth = kernel.eval_mask(ops, args, frame, masks)
+                for h in hw:
+                    assert eval(m, (w, h), f) == bool(truth & bit[h]), \
+                        (w, h, pretty(f))

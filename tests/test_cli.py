@@ -181,6 +181,12 @@ def test_sweep(capsys):
     assert cli.main(["sweep", "--schema", "S5Box-T",
                      "--max-points", "0"]) == 2
     assert cli.main(["sweep", "--schema", "AIA", "--max-k", "0"]) == 2
+    # past the oracle's world cap the frame enumeration does not finish
+    capsys.readouterr()
+    assert cli.main(["sweep", "--schema", "S5Box-T",
+                     "--max-points", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_points 6") and err.count("\n") == 1
 
 
 def test_oracle_parse_error_exit_2(capsys):
@@ -218,6 +224,18 @@ def test_deep_formula_sat_exit_2(capsys):
     # the witness re-check in kripke.mc still recurses once per level
     assert cli.main(["sat", "~" * 600 + "p", "--agents", "2"]) == 2
     assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
+def test_deep_btac_tree(capsys, tmp_path):
+    # histories are named without recursion, so a long chain loads
+    chain = "btac\nmoment m0\n" + "".join(
+        f"moment m{i} parent m{i - 1}\n" for i in range(1, 1500))
+    path = tmp_path / "chain.model"
+    path.write_text(chain)
+    assert run(capsys, "check", str(path), "p", "--at", "m0/h1") \
+        == (1, "false\n")
+    assert run(capsys, "check", str(path), "[]~p", "--at", "m1499/h1") \
+        == (0, "true\n")
 
 
 BAD_MODELS = {
@@ -258,6 +276,7 @@ BAD_LINES = {
                                       "choice x m1: {h1}"),
     "btac-choice-without-moment": ("btac\nmoment m1\n", "choice 0: {h1}"),
     "kripke-no-worlds": ("kripke agents=1\n", "worlds:"),
+    "duplicate-world": ("kripke agents=1\n", "worlds: a a b"),
     "kripke-second-worlds": ("kripke agents=1\nworlds: a\n", "worlds: a b"),
     "kripke-second-rel": ("kripke agents=1\nworlds: a b\nrel 0: {a} {b}\n",
                           "rel 0: {a b}"),
