@@ -268,9 +268,9 @@ def _parse_ax_args(args):
     return name, bindings, agents, k
 
 
-def check(derivation):
+def check(derivation, system=None):
     """Verify every line; returns the first failure if any."""
-    system = derivation.system
+    system = system or derivation.system
     if system not in SYSTEMS:
         return CheckResult(False, None, f"unknown system {system!r}")
     spec = SYSTEMS[system]
