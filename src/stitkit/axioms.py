@@ -279,13 +279,13 @@ def check(derivation, system=None):
     def fail(line, msg):
         return CheckResult(False, line.number, msg)
 
-    for line in derivation.lines:
-        def cited(tok):
-            n = int(tok)
-            if n not in proved:
-                raise KeyError(n)
-            return proved[n]
+    def cited(tok):
+        n = int(tok)
+        if n not in proved:
+            raise KeyError(n)
+        return proved[n]
 
+    for line in derivation.lines:
         form = canon(line.formula)
         try:
             rule = line.rule

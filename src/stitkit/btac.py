@@ -12,10 +12,10 @@ Histories are auto-named h1, h2, ... in depth-first leaf order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .kripke import int_field, key_line, once, unmet_choices
+from .kripke import (cells_field, check_partition, int_field, key_line,
+                     model_lines, once, unmet_choices)
 from .syntax import And, Atom, Box, Cstit, Dstit, Not
 
 
@@ -48,13 +48,16 @@ class BtacModel:
             p = self.parent.get(w)
             if p is not None and p not in known:
                 raise ValueError(f"unknown parent {p!r} of {w!r}")
+        # a walk stops at a moment known to reach the root: linear time
+        rooted = set()
         for w in self.moments:
             seen = set()
-            while w is not None:
+            while w is not None and w not in rooted:
                 if w in seen:
                     raise ValueError("cycle in parent links")
                 seen.add(w)
                 w = self.parent.get(w)
+            rooted |= seen
         self.choice = {k: tuple(frozenset(c) for c in cells)
                        for k, cells in self.choice.items()}
         self.valuation = {p: frozenset(map(tuple, ws))
@@ -126,24 +129,8 @@ def validate_model(m):
         if w not in m.moments:
             out.append(f"choice {a} at unknown moment {w!r}")
             continue
-        hw = m.histories_through(w)
-        seen = set()
-        for c in cells:
-            if not c:
-                out.append(f"choice {a} at {w}: empty cell")
-            stray = c - hw
-            if stray:
-                out.append(f"choice {a} at {w}: histories {sorted(stray)} "
-                           f"not through {w}")
-            overlap = seen & c
-            if overlap:
-                out.append(f"choice {a} at {w}: histories "
-                           f"{sorted(overlap)} in two cells")
-            seen |= c
-        missing = hw - seen
-        if missing:
-            out.append(f"choice {a} at {w}: histories {sorted(missing)} "
-                       f"in no cell")
+        out.extend(check_partition(m.histories_through(w), cells,
+                                   f"choice {a} at {w}", "histories"))
     out.extend(_superadditivity(m))
     for p, pairs in sorted(m.valuation.items()):
         for w, h in sorted(pairs):
@@ -203,14 +190,13 @@ def parse_model(text):
     ``moment M [parent P] [histories K]``, ``choice A M: {...} ...`` and
     ``val P: M/H ...`` lines.  A choice or val line appears at most once
     per key."""
-    lines = [ln.strip() for ln in text.strip().splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or lines[0] != "btac":
+    lines = model_lines(text)
+    if next(lines, None) != "btac":
         raise ValueError("btac model text must start with 'btac'")
     moments, parent, multiplicity = [], {}, {}
     choice, valuation = {}, {}
     seen = set()
-    for ln in lines[1:]:
+    for ln in lines:
         if ln.startswith("moment "):
             toks = ln.split()
             w = toks[1]
@@ -232,9 +218,7 @@ def parse_model(text):
             (agent, w), body = key_line(ln, "choice A M")
             agent = int_field(agent, ln)
             once(seen, f"choice {agent} {w}", ln)
-            choice[(agent, w)] = tuple(
-                frozenset(chunk.split())
-                for chunk in re.findall(r"\{([^{}]*)\}", body))
+            choice[(agent, w)] = cells_field(body)
         elif ln.startswith("val "):
             (atom,), body = key_line(ln, "val P")
             once(seen, f"val {atom}", ln)

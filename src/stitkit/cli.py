@@ -25,9 +25,7 @@ def _report(args, payload, human):
 def _load_model(path):
     with open(path) as fh:
         text = fh.read()
-    first = next((ln.strip() for ln in text.splitlines()
-                  if ln.strip() and not ln.strip().startswith("#")), "")
-    if first == "btac":
+    if next(kripke.model_lines(text), "") == "btac":
         m = btac.parse_model(text)
         bad = btac.validate_model(m)
     else:

@@ -29,9 +29,11 @@ For the converse, assume GPP:
     with i >= 1.  By (a), w and v are two steps apart, so GPP at n = 0
     gives a world of R_0(w) = c_0 and of every R_i(v) = c_i.
 
-check_gpp, the solver's frame enumeration and the BT+AC independence
-condition all test this one condition through unmet_choices.  A padded
-agent drops out of it: its cell is the whole class.
+components is the one union-find for settledness classes, used by
+box_classes and the solver's frames.  unmet_per_class tests each class
+for check_gpp, validate_model and those frames; BT+AC independence runs
+unmet_choices at each moment.  A padded agent drops out: its cell is the
+whole class.  check_partition checks relations and BT+AC choices alike.
 
 Model files are line-oriented: a header ``kripke agents=N`` or
 ``moment agents=N``, a ``worlds:`` line, one ``rel A:`` (``part A:`` in
@@ -102,23 +104,26 @@ class MomentModel(KripkeModel):
     """
 
 
-def _check_partition(worlds, cells, label):
-    """Violations of ``cells`` being a partition of ``worlds``."""
+def check_partition(whole, cells, label, noun):
+    """Violations of ``cells`` being a partition of ``whole``, with the
+    members called ``noun`` in the messages."""
     out = []
     seen = set()
+    whole = set(whole)
     for c in cells:
         if not c:
             out.append(f"{label}: empty cell")
         overlap = seen & c
         if overlap:
-            out.append(f"{label}: worlds {sorted(overlap)} in two cells")
-        stray = c - set(worlds)
+            out.append(f"{label}: {noun} {sorted(overlap)} in two cells")
+        stray = c - whole
         if stray:
-            out.append(f"{label}: unknown worlds {sorted(stray)}")
+            out.append(f"{label}: {noun} {sorted(stray)} outside the "
+                       f"partitioned set")
         seen |= c
-    missing = set(worlds) - seen
+    missing = whole - seen
     if missing:
-        out.append(f"{label}: worlds {sorted(missing)} in no cell")
+        out.append(f"{label}: {noun} {sorted(missing)} in no cell")
     return out
 
 
@@ -130,8 +135,30 @@ def check_equivalence(m):
     """
     out = []
     for a in sorted(m.relations):
-        out.extend(_check_partition(m.worlds, m.relations[a], f"agent {a}"))
+        out.extend(check_partition(m.worlds, m.relations[a], f"agent {a}",
+                                   "worlds"))
     return out
+
+
+def components(items, cells):
+    """Classes of ``items`` joined by sharing a cell, as sets in the
+    order of their first items.  ``cells`` is an iterable of iterables
+    of items."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in cells:
+        for x, y in itertools.pairwise(c):
+            parent[find(y)] = find(x)
+    groups = {}
+    for x in items:
+        groups.setdefault(find(x), set()).add(x)
+    return list(groups.values())
 
 
 def box_classes(m):
@@ -143,23 +170,8 @@ def box_classes(m):
     """
     if isinstance(m, MomentModel) or len(m.relations) < 2:
         return [frozenset(m.worlds)]
-    parent = {w: w for w in m.worlds}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cells in m.relations.values():
-        for c in cells:
-            ws = sorted(c)
-            for other in ws[1:]:
-                parent[find(other)] = find(ws[0])
-    groups = {}
-    for w in m.worlds:
-        groups.setdefault(find(w), set()).add(w)
-    return [frozenset(g) for g in groups.values()]
+    return [frozenset(g) for g in components(
+        m.worlds, itertools.chain.from_iterable(m.relations.values()))]
 
 
 def _class_lookup(m):
@@ -200,6 +212,19 @@ def unmet_choices(parts, whole):
             yield choice
 
 
+def unmet_per_class(parts, classes):
+    """unmet_choices inside each class in turn, where each partition
+    offers the cells that meet the class."""
+    for cls in classes:
+        yield from unmet_choices([[c for c in cells if c & cls]
+                                  for cells in parts], cls)
+
+
+def _unmet(m):
+    return unmet_per_class([m.relations[a] for a in sorted(m.relations)],
+                           box_classes(m))
+
+
 def check_gpp(m):
     """General permutation property violations, as tuples of cells.
 
@@ -213,10 +238,7 @@ def check_gpp(m):
     eq = check_equivalence(m)
     if eq:
         raise ValueError("not equivalence relations: " + "; ".join(eq))
-    parts = [m.relations[a] for a in sorted(m.relations)]
-    return [choice for cls in box_classes(m)
-            for choice in unmet_choices(
-                [[c for c in cells if c <= cls] for cells in parts], cls)]
+    return list(_unmet(m))
 
 
 def mc(m, w, f):
@@ -322,7 +344,7 @@ def validate_model(m):
         return out
     label = ("partitions not rectangular" if isinstance(m, MomentModel)
              else "permutation property fails")
-    for cells in check_gpp(m)[:1]:
+    for cells in itertools.islice(_unmet(m), 1):
         text = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
         out.append(f"{label}: {text} do not meet")
     return out
@@ -357,24 +379,39 @@ def once(seen, key, ln):
     seen.add(key)
 
 
+def model_lines(text):
+    """The lines of a model file that carry content, stripped, skipping
+    blank lines and ``#`` comments."""
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            yield ln
+
+
+def cells_field(body):
+    """The ``{...}`` cells of a model-file line, as frozensets."""
+    return tuple(frozenset(chunk.split())
+                 for chunk in re.findall(r"\{([^{}]*)\}", body))
+
+
 def parse_model(text):
     """Parse the line-oriented kripke/moment model format."""
-    lines = [ln.strip() for ln in text.strip().splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
+    lines = model_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ValueError("empty model text")
-    head = lines[0].split()
+    head = header.split()
     if head[0] not in ("kripke", "moment") or len(head) != 2 \
             or not head[1].startswith("agents="):
-        raise ValueError(f"bad header {lines[0]!r}")
-    universe = int_field(head[1].removeprefix("agents="), lines[0])
+        raise ValueError(f"bad header {header!r}")
+    universe = int_field(head[1].removeprefix("agents="), header)
     kind = head[0]
     relkey = "rel" if kind == "kripke" else "part"
     worlds = None
     relations = {}
     valuation = {}
     seen = set()
-    for ln in lines[1:]:
+    for ln in lines:
         if ln.startswith("worlds:"):
             once(seen, "worlds", ln)
             worlds = tuple(ln.removeprefix("worlds:").split())
@@ -389,9 +426,7 @@ def parse_model(text):
             (agent,), body = key_line(ln, relkey + " A")
             agent = int_field(agent, ln)
             once(seen, f"{relkey} {agent}", ln)
-            relations[agent] = tuple(
-                frozenset(chunk.split())
-                for chunk in re.findall(r"\{([^{}]*)\}", body))
+            relations[agent] = cells_field(body)
         elif ln.startswith("val "):
             (atom,), body = key_line(ln, "val P")
             once(seen, f"val {atom}", ln)

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import kernel, syntax
-from .kripke import KripkeModel, MomentModel, mc, unmet_choices
+from .kripke import (KripkeModel, MomentModel, components, mc,
+                     unmet_choices, unmet_per_class)
 from .syntax import And, Atom, Box, Cstit, Not
 
 ORACLE_MAX_WORLDS = 5
@@ -184,8 +185,8 @@ def sat(f, cfg=None):
                             sub_of, box_negs, root, stats)
         if hit is not None:
             u_set, t_sat = hit
-            model, world = _build_witness(u_set, t_sat, sf, idx, agents,
-                                          iprof, cfg)
+            model, world = _build_witness(u_set, t_sat, sf, agents, iprof,
+                                          cfg)
             if mc(model, world, f) is not True:
                 raise AssertionError("witness failed re-check")
             if len(model.worlds) > bound:
@@ -253,7 +254,7 @@ def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
     return None
 
 
-def _build_witness(u_set, t_sat, sf, idx, agents, iprof, cfg):
+def _build_witness(u_set, t_sat, sf, agents, iprof, cfg):
     names = [f"w{k}" for k in range(len(u_set))]
     world_of = dict(zip(map(tuple, u_set), names))
     partitions = {}
@@ -366,27 +367,6 @@ def _mask_partitions(n):
     return tuple(out)
 
 
-def _components(parts, n):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cells in parts:
-        for c in cells:
-            bits = [i for i in range(n) if (c >> i) & 1]
-            for other in bits[1:]:
-                parent[find(other)] = find(bits[0])
-    comp = {}
-    for i in range(n):
-        comp.setdefault(find(i), 0)
-        comp[find(i)] |= 1 << i
-    return tuple(sorted(comp.values()))
-
-
 def _canonical(parts, n):
     best = None
     for perm in itertools.permutations(range(n)):
@@ -410,14 +390,16 @@ def _frames(n, n_agents):
     components of the partitions, or the whole world set below two
     agents, where settledness is universal by convention."""
     full = (1 << n) - 1
+    # _mask_partitions(n) holds set_partitions(range(n)) as bitmasks
+    bits = dict(zip(_mask_partitions(n), set_partitions(range(n))))
     seen = set()
     out = ([], [])
     for parts in itertools.product(*(
             _mask_partitions(n) for _ in range(n_agents))):
-        classes = _components(parts, n) if n_agents >= 2 else (full,)
-        if any(next(unmet_choices([[c for c in cells if c & cls]
-                                   for cells in parts], cls), None)
-               is not None for cls in classes):
+        classes = ((full,) if n_agents < 2 else tuple(sorted(
+            sum(1 << i for i in g) for g in components(
+                range(n), (c for cells in parts for c in bits[cells])))))
+        if next(unmet_per_class(parts, classes), None) is not None:
             continue
         key = _canonical(parts, n)
         if key in seen:

@@ -116,6 +116,13 @@ def test_tree_structure_errors():
         BtacModel(("m1",), {"m1": "m1"}, {}, {})
     with pytest.raises(ValueError):
         parse_model("btac\nmoment m1\nval p: m1/h9")
+    # one root and known parents, but a cycle of three moments hangs off
+    # the tree; walks that reached the root earlier do not hide it
+    with pytest.raises(ValueError, match="cycle in parent links"):
+        parse_model("btac\nmoment r\nmoment x parent r\n"
+                    "moment y parent x\nmoment a parent c\n"
+                    "moment b parent a\nmoment c parent b\n"
+                    "moment d parent b")
 
 
 def test_moment_attribute_errors():

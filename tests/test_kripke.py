@@ -176,6 +176,27 @@ def test_equivalence_checker():
     assert check_equivalence(m) == []
 
 
+@pytest.mark.parametrize("kind", ["kripke", "btac"])
+@pytest.mark.parametrize("cells, message", [
+    (({"h1", "h2", "h3"}, set()), "empty cell"),
+    (({"h1", "h2"}, {"h2", "h3"}), "{noun} ['h2'] in two cells"),
+    (({"h1", "h2", "h3", "h9"},),
+     "{noun} ['h9'] outside the partitioned set"),
+    (({"h1", "h2"},), "{noun} ['h3'] in no cell"),
+])
+def test_partition_messages(kind, cells, message):
+    # a Kripke relation and a BT+AC choice go through one partition check
+    if kind == "kripke":
+        m = KripkeModel(("h1", "h2", "h3"), {0: cells}, {})
+        got, label, noun = check_equivalence(m), "agent 0", "worlds"
+    else:
+        m = btac.BtacModel(("m1",), {"m1": None}, {(0, "m1"): cells}, {},
+                           {"m1": 3})
+        got = [v for v in btac.validate_model(m) if v.startswith("choice")]
+        label, noun = "choice 0 at m1", "histories"
+    assert got == [f"{label}: " + message.format(noun=noun)]
+
+
 def random_product_model(rng, rows, cols, atoms=("p", "q")):
     worlds = tuple(f"w{r}{c}" for r in range(rows) for c in range(cols))
     parts = {

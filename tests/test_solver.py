@@ -109,11 +109,11 @@ def test_gpp_is_rectangularity_per_class():
             passing = set()
             for parts in itertools.product(*(
                     solver._mask_partitions(n) for _ in range(n_agents))):
-                per_class = not any(
-                    next(kripke.unmet_choices(
-                        [[c for c in cells if c & cls] for cells in parts],
-                        cls), None) is not None
-                    for cls in solver._components(parts, n))
+                classes = [sum(1 << i for i in g) for g in kripke.components(
+                    range(n), ([i for i in range(n) if c >> i & 1]
+                               for cells in parts for c in cells))]
+                per_class = next(kripke.unmet_per_class(parts, classes),
+                                 None) is None
                 assert per_class == reference_frame_gpp(parts, n), parts
                 if per_class:
                     passing.add(solver._canonical(parts, n))
