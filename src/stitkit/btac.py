@@ -230,16 +230,17 @@ def parse_model(text):
         else:
             raise ValueError(f"unrecognized line {ln!r}")
     m = BtacModel(tuple(moments), parent, choice, valuation, multiplicity)
+    # parent has one key per moment line
     known_h = set(m.histories)
     for (a, w), cells in choice.items():
-        if w not in set(moments):
+        if w not in parent:
             raise ValueError(f"choice at unknown moment {w!r}")
         for c in cells:
             if c - known_h:
                 raise ValueError(f"unknown histories {sorted(c - known_h)}")
     for p, pairs in valuation.items():
         for w, h in pairs:
-            if w not in set(moments) or h not in known_h:
+            if w not in parent or h not in known_h:
                 raise ValueError(f"val {p}: unknown index {w}/{h}")
     return m
 

@@ -81,8 +81,9 @@ class KripkeModel:
             if not 0 <= a < self.agent_universe:
                 raise ValueError(f"agent {a} outside universe "
                                  f"{self.agent_universe}")
+        known = set(self.worlds)
         for p, ws in self.valuation.items():
-            bad = ws - set(self.worlds)
+            bad = ws - known
             if bad:
                 raise ValueError(f"valuation of {p} uses unknown worlds "
                                  f"{sorted(bad)}")

@@ -20,7 +20,9 @@ of one text give two equal, distinct trees.
 
 Nothing in this module recurses.  The parser, the printers, the
 measures, equality and ``expand_dstit`` walk with explicit stacks, so
-they handle any nesting depth under the default recursion limit.
+they handle any nesting depth under the default recursion limit.  The
+parser scans the text once into token strings and computes a position
+only for an error.
 """
 
 from __future__ import annotations
@@ -249,41 +251,42 @@ class LanguageTag(Enum):
 
 # -- lexer / parser -----------------------------------------------------
 
+# one token per match, after any blanks; the alternatives are tried in
+# order, so any other character is a one-character bad token
 _TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-      (?P<lpar>\()|(?P<rpar>\))
-     |(?P<iff><->)|(?P<imp>->)
-     |(?P<and>&)|(?P<or>\|)|(?P<not>~)
-     |(?P<box>\[\])|(?P<dia><>)
-     |(?P<cstit>\[\d+\])|(?P<poscstit><\d+>)|(?P<dstit>\{\d+\})
-     |(?P<atom>[a-z_][a-zA-Z0-9_]*)
-     |(?P<bad>\S)
-    )""",
-    re.VERBOSE,
-)
+    r"\s*(\(|\)|<->|->|&|\||~|\[\]|<>|\[\d+\]|<\d+>|\{\d+\}"
+    r"|[a-z_][a-zA-Z0-9_]*|\S)")
 
-# a prefix token waits for its operand as (builder, agent or None)
-_UNARY = {"not": (Not, None), "box": (Box, None), "dia": (Diamond, None)}
-_AGENTIVE = {"cstit": Cstit, "poscstit": PosCstit, "dstit": Dstit}
-_BINARY = {"and": And, "or": Or, "imp": Implies, "iff": Iff}
+_ATOM_START = frozenset("abcdefghijklmnopqrstuvwxyz_")
+# a prefix token waits for its operand as (builder, agent or None); [i],
+# <i> and {i} go by their first character, once the second is a digit
+_UNARY = {"~": (Not, None), "[]": (Box, None), "<>": (Diamond, None)}
+_AGENTIVE = {"[": Cstit, "<": PosCstit, "{": Dstit}
+_BINARY = {"&": And, "|": Or, "->": Implies, "<->": Iff}
+
+# token kinds as error messages name them; "" is the end of the text
+_KINDS = {"(": "lpar", ")": "rpar", "<->": "iff", "->": "imp", "&": "and",
+          "|": "or", "~": "not", "[]": "box", "<>": "dia", "": "eof"}
+_AGENT_KINDS = {"[": "cstit", "<": "poscstit", "{": "dstit"}
 
 # parser frames besides prefix operators (tuples) and open chains (lists)
 _OPEN = object()  # after "(", waiting for its first operand
 _TOP = object()  # the whole text
 
 
-def _tokenize(text):
-    """(kind, token text, position) per token, then ("eof", "", length).
+def _kind(word):
+    """The kind of a token text, as error messages name it."""
+    if word in _KINDS:
+        return _KINDS[word]
+    if word[0] in _ATOM_START:
+        return "atom"
+    if word[0] in _AGENTIVE and word[1:2].isdecimal():
+        return _AGENT_KINDS[word[0]]
+    return "bad"
 
-    Every alternative of _TOKEN_RE is one named group, so lastgroup names
-    the token kind.  The matches cover the text up to
-    trailing blanks, because any other character is a "bad" token.
-    """
-    tokens = [(m.lastgroup, m[m.lastindex], m.start())
-              for m in _TOKEN_RE.finditer(text)]
-    tokens.append(("eof", "", len(text)))
-    return tokens
+
+class _Stop(Exception):
+    """A parse failure: (token index, message with {} for its kind)."""
 
 
 def parse(text):
@@ -295,44 +298,65 @@ def parse(text):
     "(" unary ")" or "(" unary op unary ... ")".  Only & and | chain
     (nesting to the right); mixing operators needs parentheses.
 
-    Text that does not tokenize is reported before any other error, at
+    One findall turns the text into token strings.  Only a failure scans
+    the text again, for the position and kind of the token at fault;
+    text that does not tokenize is reported before any other error, at
     its first bad character.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # eof
     try:
         return _parse(tokens)
+    except _Stop as stop:
+        index, message = stop.args
     except ValueError:
-        # a text that parses has no bad token, so look only on failure
-        for kind, _, pos in tokens:
-            if kind == "bad":
-                raise SyntaxError_(
-                    f"unexpected input {text[pos:].lstrip()[:10]!r}",
-                    pos) from None
+        # int() refused an agent index; a bad token still comes first
+        _locate(text, -1)
         raise
+    pos, kind = _locate(text, index)
+    raise SyntaxError_(message.format(kind), pos)
+
+
+def _locate(text, index):
+    """Start and kind of token ``index`` (eof after the last token);
+    raises SyntaxError_ for the first bad token instead, if any."""
+    found = len(text), "eof"
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        kind = _kind(m[1])
+        if kind == "bad":
+            pos = m.start()
+            raise SyntaxError_(
+                f"unexpected input {text[pos:].lstrip()[:10]!r}",
+                pos) from None
+        if k == index:
+            found = m.start(), kind
+    return found
 
 
 def _parse(tokens):
-    """One pass over the tokens.  ``frames`` holds what waits for the
-    next complete operand, innermost last: a prefix operator, an open
-    parenthesis, a chain [op, operands, closing token] or the top."""
+    """One pass over the token texts, which end with "" for eof.
+    ``frames`` holds what waits for the next complete operand, innermost
+    last: a prefix operator, an open parenthesis, a chain [op, operands,
+    closing token] or the top.  A failure raises _Stop."""
     i = 0
     frames = [_TOP]
     while True:
-        kind, word, pos = tokens[i]
+        word = tokens[i]
         i += 1
-        if kind == "atom":
-            value = Atom(word)
-        elif kind in _UNARY:
-            frames.append(_UNARY[kind])
+        if word in _UNARY:
+            frames.append(_UNARY[word])
             continue
-        elif kind in _AGENTIVE:
-            frames.append((_AGENTIVE[kind], int(word[1:-1])))
-            continue
-        elif kind == "lpar":
+        if word == "(":
             frames.append(_OPEN)
             continue
+        first = word[:1]
+        if first in _ATOM_START:
+            value = Atom(word)
+        elif first in _AGENTIVE and word[1:2].isdecimal():
+            frames.append((_AGENTIVE[first], int(word[1:-1])))
+            continue
         else:
-            raise SyntaxError_(f"unexpected token {kind}", pos)
+            raise _Stop(i - 1, "unexpected token {}")
         # an operand is complete: hand it out until a frame needs more
         while True:
             frame = frames[-1]
@@ -341,37 +365,36 @@ def _parse(tokens):
                 build, agent = frame
                 value = build(value) if agent is None else build(agent, value)
                 continue
-            kind, _, pos = tokens[i]
+            word = tokens[i]
             if frame is _OPEN:
                 i += 1
-                if kind == "rpar":
+                if word == ")":
                     frames.pop()
                     continue
-                if kind not in _BINARY:
-                    raise SyntaxError_("expected binary operator", pos)
-                frames[-1] = [kind, [value], "rpar"]
+                if word not in _BINARY:
+                    raise _Stop(i - 1, "expected binary operator")
+                frames[-1] = [word, [value], ")"]
                 break
             if frame is _TOP:
-                if kind in _BINARY:
+                if word in _BINARY:
                     # outermost parentheses are optional
                     i += 1
-                    frames[-1] = [kind, [value], "eof"]
+                    frames[-1] = [word, [value], ""]
                     break
-                if kind != "eof":
-                    raise SyntaxError_(f"expected eof, found {kind}", pos)
+                if word:
+                    raise _Stop(i, "expected eof, found {}")
                 return value
             op, items, closer = frame
             items.append(value)
-            if kind == op and (op == "and" or op == "or"):
+            if word == op and (op == "&" or op == "|"):
                 # & and | may be chained ((a & b & c) nests to the right)
                 i += 1
                 break
-            if kind in _BINARY:
-                raise SyntaxError_("mixed binary operators need parentheses",
-                                   pos)
+            if word in _BINARY:
+                raise _Stop(i, "mixed binary operators need parentheses")
             i += 1
-            if kind != closer:
-                raise SyntaxError_(f"expected {closer}, found {kind}", pos)
+            if word != closer:
+                raise _Stop(i - 1, f"expected {_KINDS[closer]}, found {{}}")
             frames.pop()
             build = _BINARY[op]
             for k in range(len(items) - 2, -1, -1):

@@ -114,8 +114,14 @@ def test_tree_structure_errors():
         BtacModel(("m1", "m2"), {"m1": None, "m2": None}, {}, {})
     with pytest.raises(ValueError):
         BtacModel(("m1",), {"m1": "m1"}, {}, {})
-    with pytest.raises(ValueError):
-        parse_model("btac\nmoment m1\nval p: m1/h9")
+    # names a model-file line uses but no moment line or history defines
+    for line, message in (
+            ("val p: m1/h9", "val p: unknown index m1/h9"),
+            ("val p: m9/h1", "val p: unknown index m9/h1"),
+            ("choice 0 m9: {h1}", "choice at unknown moment 'm9'"),
+            ("choice 0 m1: {h1 h9}", r"unknown histories \['h9'\]")):
+        with pytest.raises(ValueError, match=message):
+            parse_model("btac\nmoment m1\n" + line)
     # one root and known parents, but a cycle of three moments hangs off
     # the tree; walks that reached the root earlier do not hide it
     with pytest.raises(ValueError, match="cycle in parent links"):

@@ -46,6 +46,15 @@ def test_parse_rejects_non_partition():
         parse_model(bad)
 
 
+def test_valuation_of_unknown_worlds():
+    with pytest.raises(ValueError, match=r"of p uses unknown worlds \['c'\]"):
+        parse_model("kripke agents=1\nworlds: a b\nrel 0: {a b}\nval p: a c")
+    with pytest.raises(ValueError,
+                       match=r"of q uses unknown worlds \['c', 'd'\]"):
+        KripkeModel(("a", "b"), {0: ({"a", "b"},)},
+                    {"p": {"a"}, "q": {"c", "d"}})
+
+
 def test_mc_matches_btac_on_product():
     m = parse_model(PRODUCT)
     bt = btac.parse_model("""

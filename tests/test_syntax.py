@@ -1,4 +1,5 @@
 import copy
+import importlib.resources
 import itertools
 import pickle
 import random
@@ -283,6 +284,17 @@ def _token_strings(max_tokens):
             yield " ".join(combo)
 
 
+def _fixture_formula_texts():
+    """The formula text of every line of the derivation fixtures."""
+    root = importlib.resources.files("stitkit") / "fixtures"
+    for path in sorted(root.iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".drv"):
+            for line in path.read_text().splitlines():
+                m = re.match(r"\d+\s*:\s*(.*?)\s*;", line.strip())
+                if m:
+                    yield m.group(1)
+
+
 def test_parse_matches_reference_parser():
     texts = set(JUNK)
     for f in exhaustive_formulas(7):
@@ -294,6 +306,10 @@ def test_parse_matches_reference_parser():
         t = rng.choice(base)
         k = rng.randrange(len(t) + 1)
         texts.add(t[:k] + rng.choice("()&|~<>-[]{}0p ") + t[k + 1:])
+    # real-length texts: the derivation fixture lines, and each one
+    # negated as the replay benchmark mutates it
+    for text in _fixture_formula_texts():
+        texts.update((text, "~" + text))
     outcomes = {"ok": 0, "syntax": 0, "value": 0}
     for text in sorted(texts):
         got = _outcome(parse, text)
