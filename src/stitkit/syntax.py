@@ -336,8 +336,8 @@ def _locate(text, index):
 def _parse(tokens):
     """One pass over the token texts, which end with "" for eof.
     ``frames`` holds what waits for the next complete operand, innermost
-    last: a prefix operator, an open parenthesis, a chain [op, operands,
-    closing token] or the top.  A failure raises _Stop."""
+    last: a prefix operator, an open parenthesis, a chain [op, closing
+    token, operands...] or the top.  A failure raises _Stop."""
     i = 0
     frames = [_TOP]
     while True:
@@ -373,19 +373,19 @@ def _parse(tokens):
                     continue
                 if word not in _BINARY:
                     raise _Stop(i - 1, "expected binary operator")
-                frames[-1] = [word, [value], ")"]
+                frames[-1] = [word, ")", value]
                 break
             if frame is _TOP:
                 if word in _BINARY:
                     # outermost parentheses are optional
                     i += 1
-                    frames[-1] = [word, [value], ""]
+                    frames[-1] = [word, "", value]
                     break
                 if word:
                     raise _Stop(i, "expected eof, found {}")
                 return value
-            op, items, closer = frame
-            items.append(value)
+            op = frame[0]
+            frame.append(value)
             if word == op and (op == "&" or op == "|"):
                 # & and | may be chained ((a & b & c) nests to the right)
                 i += 1
@@ -393,12 +393,12 @@ def _parse(tokens):
             if word in _BINARY:
                 raise _Stop(i, "mixed binary operators need parentheses")
             i += 1
-            if word != closer:
-                raise _Stop(i - 1, f"expected {_KINDS[closer]}, found {{}}")
+            if word != frame[1]:
+                raise _Stop(i - 1, f"expected {_KINDS[frame[1]]}, found {{}}")
             frames.pop()
             build = _BINARY[op]
-            for k in range(len(items) - 2, -1, -1):
-                value = build(items[k], value)
+            for k in range(len(frame) - 2, 1, -1):
+                value = build(frame[k], value)
             if not frames:
                 return value
 
