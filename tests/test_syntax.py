@@ -287,7 +287,7 @@ def _token_strings(max_tokens):
 def _fixture_formula_texts():
     """The formula text of every line of the derivation fixtures."""
     root = importlib.resources.files("stitkit") / "fixtures"
-    for path in sorted(root.iterdir(), key=lambda p: p.name):
+    for path in root.iterdir():
         if path.name.endswith(".drv"):
             for line in path.read_text().splitlines():
                 m = re.match(r"\d+\s*:\s*(.*?)\s*;", line.strip())
