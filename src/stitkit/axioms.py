@@ -425,10 +425,11 @@ def _sweep_frames(f, max_points, frames_of):
         f, {p: i for i, p in enumerate(atom_names)},
         {a: i for i, a in enumerate(agents)})
     for n in range(1, max_points + 1):
-        for frame in frames_of(n, len(agents)):
-            hit = kernel.scan_valid(ops, args, frame, len(atom_names))
-            if hit is not None:
-                return frame, hit[0], hit[1]
+        frames = frames_of(n, len(agents))
+        hit = kernel.scan_frames(ops, args, frames, len(atom_names), False)
+        if hit is not None:
+            position, v, point = hit
+            return frames[position], v, point
     return None
 
 

@@ -124,19 +124,24 @@ class BtacModel:
 def validate_model(m):
     """All invariant violations, as human-readable strings."""
     out = []
+    known, histories = set(m.moments), set(m.histories)
     for (a, w), cells in sorted(m.choice.items(),
                                 key=lambda kv: (kv[0][1], kv[0][0])):
-        if w not in m.moments:
+        if w not in known:
             out.append(f"choice {a} at unknown moment {w!r}")
             continue
         out.extend(check_partition(m.histories_through(w), cells,
                                    f"choice {a} at {w}", "histories"))
     out.extend(_superadditivity(m))
+    passes = {}  # history -> the set of moments it passes through
     for p, pairs in sorted(m.valuation.items()):
         for w, h in sorted(pairs):
-            if w not in m.moments or h not in m.histories:
+            if w not in known or h not in histories:
                 out.append(f"val {p}: unknown index {w}/{h}")
-            elif w not in m.moments_of(h):
+                continue
+            if h not in passes:
+                passes[h] = set(m.moments_of(h))
+            if w not in passes[h]:
                 out.append(f"val {p}: history {h} does not pass "
                            f"through {w}")
     return out

@@ -14,14 +14,20 @@ Cells are encoded as bitmasks over the points.  A *valuation index* ``v``
 packs one point-mask per atom: atom ``a`` is true exactly at the points in
 ``(v >> (a * n_points)) & ((1 << n_points) - 1)``.
 
-``scan_sat`` and ``scan_valid`` run a compiled formula over all
-``2**(n_atoms * n_points)`` valuations of a frame and return the first
-(valuation, point) where it holds or fails.  Each valuation is a slot of
-``n_points + 1`` bits (the top bit a guard kept at zero), and the program
-runs on ``2**_SCAN_CHUNK_BITS`` slots at once; ALLBLOCK tests containment
-with the SWAR zero-detect ``guard & ~((t | guard) - low_bits)``, which
-never borrows across slots.  ``eval_mask`` is the one-valuation
-reference the scans are tested against; it shares no code with them.
+``scan_frames`` runs a compiled formula over all
+``2**(n_atoms * n_points)`` valuations of each of a list of frames of one
+size and returns the first (position, valuation, point), in frame order,
+where it holds or fails; ``scan_sat`` and ``scan_valid`` do the same for
+one frame.  Each valuation is a slot of ``n_points + 1`` bits (the top
+bit a guard kept at zero), and the program runs on up to
+``2**_SCAN_CHUNK_BITS`` slots at once, with the frames side by side: each
+frame owns a region of ``2**s`` slots, ``s`` its number of valuation bits
+(at most ``_SCAN_CHUNK_BITS``), and every relation's cells are packed so
+that each region holds its own frame's cells.  ALLBLOCK tests containment
+with the SWAR zero-detect ``guard ^ (((cell & out) | guard) - low_bits)
+& guard``, which never borrows across slots.  ``eval_mask`` is the
+one-valuation reference the scans are tested against; it shares no code
+with them.
 
 ``columns`` runs a boolean program over leaves under every assignment,
 each node one bit column over ``2**_COLUMN_CHUNK_BITS`` assignments at a
@@ -149,12 +155,18 @@ BACKEND_NAME = "py"
 
 @lru_cache(maxsize=None)
 def _slot_lsb(n_slots, w):
-    """Bit 0 of every slot, built by doubling."""
-    out, have = 1, 1
-    while have < n_slots:
-        out |= out << (have * w)
+    """Bit 0 of each of ``n_slots`` slots of ``w`` bits."""
+    return _tile(1, w, n_slots)
+
+
+def _tile(x, width, count):
+    """``count`` copies of ``x``, one every ``width`` bits, built by
+    doubling; ``x`` must fit in ``width`` bits."""
+    out, have = x, 1
+    while have < count:
+        out |= out << (have * width)
         have *= 2
-    return out
+    return out if have == count else out & ((1 << (count * width)) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -174,37 +186,87 @@ def _atom_low(n_points, s, a):
     return x
 
 
-def _scan(ops, args, frame, n_atoms, want_sat):
-    """First (valuation index, point) where the program holds (with
-    ``want_sat``) or fails (without), or None."""
-    _check_size(frame.n_points, n_atoms)
-    n = frame.n_points
+@lru_cache(maxsize=None)
+def _passes(frames, n_atoms):
+    """The frames side by side, in passes of up to
+    ``2**_SCAN_CHUNK_BITS`` slots: per pass its first frame's position,
+    its ``low``, ``guard`` and ``full`` masks, the atom leaves of the low
+    ``s`` valuation bits and, per relation, the packed cells.
+
+    Each frame owns a region of ``2**s`` slots.  Packed cell ``j`` of a
+    relation holds, in every slot of a frame's region, that frame's
+    ``j``-th cell of the relation, or 0 when the frame has fewer cells.
+    """
+    n = frames[0].n_points
+    w = n + 1
+    s = min(n_atoms * n, _SCAN_CHUNK_BITS)
+    width = w << s
+    region = _slot_lsb(1 << s, w)
+    atom_low = [_atom_low(n, s, a) for a in range(n_atoms)]
+    per_pass = (1 << _SCAN_CHUNK_BITS) >> s
+    out = []
+    for start in range(0, len(frames), per_pass):
+        group = frames[start:start + per_pass]
+        k = len(group)
+        blocks = []
+        for r in range(len(group[0].blocks)):
+            packed = [0] * max(len(fr.blocks[r]) for fr in group)
+            for i, fr in enumerate(group):
+                for j, cell in enumerate(fr.blocks[r]):
+                    packed[j] |= (region * cell) << (i * width)
+            blocks.append(packed)
+        low = _slot_lsb(k << s, w)
+        out.append((start, low, low << n, low * ((1 << n) - 1),
+                    [_tile(x, width, k) for x in atom_low], blocks))
+    return tuple(out)
+
+
+def _scan(ops, args, frames, n_atoms, want_sat):
+    """First (position, valuation index, point) in frame order where the
+    program holds (with ``want_sat``) or fails (without), or None.
+
+    ``frames`` is a sequence of frames with the same ``n_points`` and the
+    same number of relations.  A pass runs the program once over up to
+    ``2**_SCAN_CHUNK_BITS`` slots: every valuation of up to
+    ``2**_SCAN_CHUNK_BITS >> s`` frames side by side, where ``s`` is the
+    number of valuation bits of one frame, capped at
+    ``_SCAN_CHUNK_BITS``; a frame with more valuation bits than that
+    takes a pass of its own, in chunks of ``2**_SCAN_CHUNK_BITS``
+    valuations.  The lowest hit bit is the first hit in frame order.
+    """
+    if not frames:
+        return None
+    n = frames[0].n_points
+    _check_size(n, n_atoms)
     w = n + 1
     ones = (1 << n) - 1
     total_bits = n_atoms * n
     s = min(total_bits, _SCAN_CHUNK_BITS)
-    n_slots = 1 << s
-    low = _slot_lsb(n_slots, w)
-    guard = low << n
-    full = low * ones
-    atom_low = [_atom_low(n, s, a) for a in range(n_atoms)]
-
-    for base in range(0, 1 << total_bits, n_slots):
-        leaves = [atom_low[a] | (low * ((base >> (a * n)) & ones))
-                  for a in range(n_atoms)]
-        res = _values(ops, args, leaves, full, frame.blocks, low, guard,
-                      n)[-1]
-        probe = res if want_sat else (full & ~res)
-        if probe:
-            bit = (probe & -probe).bit_length() - 1
-            return base + bit // w, bit % w
+    mask = (1 << s) - 1
+    for start, low, guard, full, tiled, blocks in _passes(tuple(frames),
+                                                           n_atoms):
+        for base in range(0, 1 << total_bits, 1 << s):
+            leaves = [x | (low * ((base >> (a * n)) & ones))
+                      for a, x in enumerate(tiled)] if base else tiled
+            res = _values(ops, args, leaves, full, blocks, low, guard,
+                          n)[-1]
+            probe = res if want_sat else full ^ res
+            if probe:
+                bit = (probe & -probe).bit_length() - 1
+                slot = bit // w
+                return start + (slot >> s), base + (slot & mask), bit % w
     return None
 
 
 def _values(ops, args, leaves, full, blocks, low, guard, n):
     """Every node's value of a program, each a bit-parallel subset of
     ``full``; ``OP_ATOM`` slot ``x`` reads ``leaves[x]``.  Only
-    ``OP_ALLBLOCK`` reads ``blocks``, ``low``, ``guard`` and ``n``."""
+    ``OP_ALLBLOCK`` reads ``blocks`` (per relation, its cells packed as
+    ``_passes`` lays them out), ``low``, ``guard`` and ``n``.
+
+    ALLBLOCK keeps a cell's points in each slot where no point of the
+    cell is outside the argument.  Every value stays non-negative: a
+    negative Python integer makes each bit operation copy it."""
     val = []
     push = val.append
     for op, (x, y) in zip(ops, args):
@@ -215,24 +277,36 @@ def _values(ops, args, leaves, full, blocks, low, guard, n):
         elif op == 2:  # AND
             push(val[x] & val[y])
         else:  # ALLBLOCK
-            m = val[x]
+            out = full ^ val[x]
             acc = 0
             for cell in blocks[y]:
-                t = (low * cell) & ~m
-                z = guard & ~((t | guard) - low)
-                acc |= cell * (z >> n)
+                # guard bit of each slot where the cell has no point out
+                z = guard ^ (((cell & out) | guard) - low) & guard
+                acc |= cell & (z - (z >> n))
             push(acc)
     return val
 
 
+def scan_frames(ops, args, frames, n_atoms, want_sat):
+    """First (position, valuation index, point) in frame order where the
+    program holds (``want_sat``) or fails (not ``want_sat``), or None.
+
+    All of ``frames`` have the same ``n_points``; they are scanned side
+    by side, many frames per pass of the program (see ``_scan``).
+    """
+    return _scan(ops, args, frames, n_atoms, want_sat)
+
+
 def scan_sat(ops, args, frame, n_atoms):
     """First (valuation index, point) satisfying the program, or None."""
-    return _scan(ops, args, frame, n_atoms, True)
+    hit = _scan(ops, args, (frame,), n_atoms, True)
+    return None if hit is None else hit[1:]
 
 
 def scan_valid(ops, args, frame, n_atoms):
     """First falsifying (valuation index, point), or None if frame-valid."""
-    return _scan(ops, args, frame, n_atoms, False)
+    hit = _scan(ops, args, (frame,), n_atoms, False)
+    return None if hit is None else hit[1:]
 
 
 def columns(ops, args, n_leaves):

@@ -441,7 +441,8 @@ def _frame_model(frame, v, atom_names, agents, cfg):
 
 def oracle(f, max_worlds, cfg=None):
     """Independent brute force: every frame up to max_worlds, every
-    valuation of the formula's atoms, streamed through the kernel."""
+    valuation of the formula's atoms, streamed through the kernel with
+    one scan per world count."""
     cfg = cfg or SolverConfig()
     _check_agents(f, cfg)
     if not 1 <= max_worlds <= ORACLE_MAX_WORLDS:
@@ -458,17 +459,18 @@ def oracle(f, max_worlds, cfg=None):
         {a: k for k, a in enumerate(agents)})
     stats = {"engine": "oracle", "frames": 0, "max_worlds": max_worlds}
     for n in range(1, max_worlds + 1):
-        for frame in general_frames(n, len(agents)):
-            stats["frames"] += 1
-            hit = kernel.scan_sat(ops, args, frame, len(atom_names))
-            if hit is None:
-                continue
-            v, point = hit
-            model = _frame_model(frame, v, atom_names, agents, cfg)
-            world = model.worlds[point]
-            if mc(model, world, f) is not True:
-                raise AssertionError("oracle witness failed re-check")
-            return SatResult("SAT", (model, world), stats)
+        frames = general_frames(n, len(agents))
+        hit = kernel.scan_frames(ops, args, frames, len(atom_names), True)
+        if hit is None:
+            stats["frames"] += len(frames)
+            continue
+        position, v, point = hit
+        stats["frames"] += position + 1
+        model = _frame_model(frames[position], v, atom_names, agents, cfg)
+        world = model.worlds[point]
+        if mc(model, world, f) is not True:
+            raise AssertionError("oracle witness failed re-check")
+        return SatResult("SAT", (model, world), stats)
     return SatResult("UNSAT", None, stats)
 
 

@@ -309,10 +309,6 @@ def parse(text):
         return _parse(tokens)
     except _Stop as stop:
         index, message = stop.args
-    except ValueError:
-        # int() refused an agent index; a bad token still comes first
-        _locate(text, -1)
-        raise
     pos, kind = _locate(text, index)
     raise SyntaxError_(message.format(kind), pos)
 
@@ -353,7 +349,12 @@ def _parse(tokens):
         if first in _ATOM_START:
             value = Atom(word)
         elif first in _AGENTIVE and word[1:2].isdecimal():
-            frames.append((_AGENTIVE[first], int(word[1:-1])))
+            try:
+                agent = int(word[1:-1])
+            except ValueError:
+                # more digits than int() converts from text
+                raise _Stop(i - 1, "agent index of {} is too long") from None
+            frames.append((_AGENTIVE[first], agent))
             continue
         else:
             raise _Stop(i - 1, "unexpected token {}")

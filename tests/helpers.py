@@ -1,19 +1,22 @@
 """Shared test utilities: formula generators, small-model helpers, the
 recursive reference parser and translation, the scalar references of the
-bit-parallel inner loops, the direct permutation-property checks, and
-measures that only the tests read."""
+bit-parallel inner loops, the direct permutation-property checks, the
+frame-at-a-time oracle and sweep, and measures that only the tests
+read."""
 
 import itertools
 import random
 import re
 from itertools import count
 
-from stitkit import syntax
+from stitkit import kernel, syntax
 from stitkit.axioms import canon
 from stitkit.kripke import (KripkeModel, _agent_cell, _class_lookup,
-                            box_classes, check_equivalence)
-from stitkit.solver import (ENGINE_MAX_LEAVES, InconclusiveError,
-                            _subsets_desc)
+                            box_classes, check_equivalence, mc)
+from stitkit.solver import (ENGINE_MAX_LEAVES, ORACLE_MAX_WORLDS,
+                            InconclusiveError, SatResult, SolverConfig,
+                            _check_agents, _frame_model, _subsets_desc,
+                            general_frames)
 from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
                             Implies, Not, Or, PosCstit, SyntaxError_,
                             conjoin, length)
@@ -456,6 +459,65 @@ def reference_pl_consequence(premises, conclusion, max_letters=16):
         if all(ev(s, bits) for s in shapes[:-1]) and not ev(shapes[-1], bits):
             return False
     return True
+
+
+# -- frame-at-a-time references for solver.oracle and axioms._sweep_frames
+
+# satisfiable formulas whose smallest models have 1, 2, 3 and 4 worlds,
+# some of them past the first frame of that size
+SIZED_SAT = ["p", "(<>p & <>~p)", "((p & q) & (<>(~p & q) & <>~q))",
+             "(((p & q) & <>(p & ~q)) & (<>(~p & q) & <>(~p & ~q)))",
+             "({0}p & {1}q)", "(([0]p & <1>~p) & (<>(q & [1]p) & <>~q))",
+             "((<>(p & q) & <>(p & ~q)) & (<>(~p & q) & [0](p | q)))"]
+
+
+def reference_oracle(f, max_worlds, cfg=None):
+    """solver.oracle with one kernel scan per frame: same verdict,
+    witness and stats."""
+    cfg = cfg or SolverConfig()
+    _check_agents(f, cfg)
+    if not 1 <= max_worlds <= ORACLE_MAX_WORLDS:
+        raise ValueError(f"max_worlds {max_worlds} is outside the oracle "
+                         f"range 1..{ORACLE_MAX_WORLDS}")
+    agents = sorted(syntax.agents(f))
+    atom_names = sorted(syntax.atoms(f))
+    if max_worlds * len(atom_names) > kernel.MAX_VALUATION_BITS:
+        raise ValueError(
+            f"{len(atom_names)} atoms at {max_worlds} worlds exceeds the "
+            f"oracle valuation budget of {kernel.MAX_VALUATION_BITS} bits")
+    ops, args = kernel.compile_formula(
+        f, {p: k for k, p in enumerate(atom_names)},
+        {a: k for k, a in enumerate(agents)})
+    stats = {"engine": "oracle", "frames": 0, "max_worlds": max_worlds}
+    for n in range(1, max_worlds + 1):
+        for frame in general_frames(n, len(agents)):
+            stats["frames"] += 1
+            hit = kernel.scan_sat(ops, args, frame, len(atom_names))
+            if hit is None:
+                continue
+            v, point = hit
+            model = _frame_model(frame, v, atom_names, agents, cfg)
+            world = model.worlds[point]
+            if mc(model, world, f) is not True:
+                raise AssertionError("oracle witness failed re-check")
+            return SatResult("SAT", (model, world), stats)
+    return SatResult("UNSAT", None, stats)
+
+
+def reference_sweep_frames(f, max_points, frames_of):
+    """axioms._sweep_frames with one kernel scan per frame: the same
+    first (frame, valuation, point) falsifying f, or None."""
+    agents = sorted(syntax.agents(f))
+    atom_names = sorted(syntax.atoms(f))
+    ops, args = kernel.compile_formula(
+        f, {p: i for i, p in enumerate(atom_names)},
+        {a: i for i, a in enumerate(agents)})
+    for n in range(1, max_points + 1):
+        for frame in frames_of(n, len(agents)):
+            hit = kernel.scan_valid(ops, args, frame, len(atom_names))
+            if hit is not None:
+                return frame, hit[0], hit[1]
+    return None
 
 
 # -- measures only the tests read -----------------------------------------

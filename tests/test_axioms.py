@@ -11,7 +11,8 @@ from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_entails, canon,
 from stitkit.solver import SolverConfig
 from stitkit.syntax import Atom, Cstit, Not, Or, conjoin, parse, pretty
 
-from helpers import exhaustive_formulas, reference_pl_consequence
+from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
+                     reference_pl_consequence, reference_sweep_frames)
 
 
 def fixture_text(name):
@@ -250,6 +251,23 @@ def test_semantic_audit_small():
     assert rep["counterexamples"] == []
     rep = semantic_audit("GPerm", 1, models="kripke", max_points=3)
     assert rep["counterexamples"] == []
+
+
+def test_sweep_matches_frame_at_a_time_reference():
+    # one scan per world count: the first falsifying frame, valuation and
+    # point of one scan per frame; ~f first fails where f has its
+    # smallest model
+    corpus = [Not(parse(t)) for t in SIZED_SAT] + random_corpus(
+        36, 120, 10, atom_names=("p", "q", "r"))
+    sizes = set()
+    for f in corpus:
+        for frames_of in (solver.moment_frames, solver.general_frames):
+            for max_points in (3, 4):
+                hit = axioms._sweep_frames(f, max_points, frames_of)
+                assert hit == reference_sweep_frames(f, max_points,
+                                                     frames_of), pretty(f)
+                sizes.add(hit and hit[0].n_points)
+    assert sizes == {None, 1, 2, 3, 4}
 
 
 def test_semantic_audit_rejects_unknown_models():

@@ -97,6 +97,24 @@ def test_validate_partition_violation():
     assert any("two cells" in v for v in validate_model(m))
 
 
+def test_validate_valuation_indices():
+    text = """
+    btac
+    moment m1
+    moment m2 parent m1
+    moment m3 parent m1 histories 2
+    val p: m1/h1 m2/h1 m3/h1 m3/h2 m2/h3 m1/h3
+    """
+    m = parse_model(text)
+    # parse_model refuses unknown indices; validate_model reports them
+    m.valuation["q"] = frozenset({("m9", "h1"), ("m1", "h9")})
+    assert validate_model(m) == [
+        "val p: history h3 does not pass through m2",
+        "val p: history h1 does not pass through m3",
+        "val q: unknown index m1/h9",
+        "val q: unknown index m9/h1"]
+
+
 def test_validate_superadditivity_violation():
     text = """
     btac

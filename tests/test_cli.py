@@ -60,6 +60,13 @@ def test_parse_error_exit_2(capsys):
     assert cli.main(["parse", "(p &"]) == 2
 
 
+def test_long_agent_index_exit_2(capsys):
+    # more digits than int() converts from text
+    assert cli.main(["parse", "(p & {" + "9" * 5000 + "}q)"]) == 2
+    assert capsys.readouterr().err == \
+        "error: agent index of dstit is too long (at position 4)\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert cli.main(["nosuchcommand"]) == 2
 

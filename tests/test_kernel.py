@@ -53,6 +53,76 @@ def test_scan_matches_reference():
             brute_scan(ops, args, frame, len(names), False), syntax.pretty(f)
 
 
+def brute_frames(ops, args, frames, n_atoms, want_sat):
+    """scan_frames one frame at a time, by brute_scan."""
+    for position, frame in enumerate(frames):
+        hit = brute_scan(ops, args, frame, n_atoms, want_sat)
+        if hit is not None:
+            return (position,) + hit
+    return None
+
+
+def _check_frames(f, frames, n_atoms):
+    """scan_frames against brute_frames in both modes; returns the first
+    satisfying hit."""
+    names = ("p", "q", "r", "s", "t")[:n_atoms]
+    ops, args = kernel.compile_formula(
+        f, {p: k for k, p in enumerate(names)}, {0: 0, 1: 1})
+    for want_sat in (False, True):
+        hit = kernel.scan_frames(ops, args, frames, n_atoms, want_sat)
+        assert hit == brute_frames(ops, args, frames, n_atoms, want_sat), \
+            (syntax.pretty(f), want_sat)
+    return hit
+
+
+def test_scan_frames_matches_reference():
+    # up to 12 valuation bits: several frames per pass (one when the list
+    # has one frame), lists of up to 2**13 valuations in all
+    rng = random.Random(5)
+    corpus = random_corpus(8, 200, 10,
+                           atom_names=("p", "q", "r", "s", "t"))
+    for n in range(1, 5):
+        for n_atoms in range(6):
+            if n * n_atoms > 12:
+                continue
+            for _ in range(4):
+                frames = [random_frame(rng, n, 3) for _ in range(
+                    rng.randint(1, max(1, (1 << 13) >> (n * n_atoms))))]
+                _check_frames(rng.choice(corpus), frames, n_atoms)
+    assert kernel.scan_frames([], [], (), 2, True) is None
+
+
+def _frame(n, cells):
+    """Agent 0 has ``cells``; agent 1 and settledness one cell each."""
+    full = (1 << n) - 1
+    return kernel.Frame(n, (cells, (full,), (full,)))
+
+
+def test_scan_frames_across_passes_and_chunks():
+    # 40 random frames of 4 points and 3 atoms: 16 frames in a pass, with
+    # different numbers of cells
+    rng = random.Random(6)
+    frames = [random_frame(rng, 4, 3) for _ in range(40)]
+    assert len({len(fr.blocks[0]) for fr in frames[:16]}) > 1
+    for text in ("(r & ~[1]p)", "~((p | q) & [0]r)", "({0}q & <>~r)"):
+        _check_frames(syntax.parse(text), frames, 3)
+    # {0}p holds only where agent 0 has two cells
+    one, two = _frame(4, (15,)), _frame(4, (3, 12))
+    deliberate = syntax.parse("({0}p & (q | r))")
+    for hit_at in (15, 16):  # last of the first pass, first of the next
+        frames = [one] * hit_at + [two] + [one] * 3
+        assert _check_frames(deliberate, frames, 3)[0] == hit_at
+    # 3 points and 5 atoms: two frames in a pass; 4 points and 4 atoms:
+    # one frame in a pass of one chunk; 5 atoms: one frame, 16 chunks
+    three = [_frame(3, (7,)), _frame(3, (1, 6)), _frame(3, (7,))]
+    assert _check_frames(syntax.parse("({0}p & t)"), three, 5) == \
+        (1, 1 | 1 << 12, 0)
+    assert _check_frames(syntax.parse("({0}p & s)"), [one, two, one],
+                         4) == (1, 3 | 1 << 12, 0)
+    assert _check_frames(syntax.parse("(t & [0]p)"), [two, one], 5) == \
+        (0, 3 | 1 << 16, 0)
+
+
 def test_unknown_atom_is_false():
     f = syntax.parse("r")
     frame = kernel.Frame(2, ((3,), (3,), (3,)))

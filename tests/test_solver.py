@@ -13,7 +13,8 @@ from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
                             sat_single_agent, valid)
 from stitkit.syntax import length, parse, pretty
 
-from helpers import (exhaustive_formulas, random_corpus, reference_frame_gpp,
+from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
+                     reference_frame_gpp, reference_oracle,
                      reference_search_group, reference_types)
 
 CFG2 = SolverConfig(agent_universe=2)
@@ -88,6 +89,22 @@ def test_oracle_scans_each_frame_once():
     assert res.verdict == "UNSAT"
     assert res.stats["frames"] == sum(len(general_frames(n, 2))
                                       for n in range(1, 4))
+
+
+def test_oracle_matches_frame_at_a_time_reference():
+    # one scan per world count: the verdict, witness and frame count of
+    # one scan per frame
+    corpus = [parse(t) for t in SIZED_SAT] + random_corpus(
+        34, 120, 10, atom_names=("p", "q", "r"))
+    sizes, verdicts = set(), set()
+    for f in corpus:
+        for max_worlds in (3, 4):
+            res = oracle(f, max_worlds, CFG2)
+            assert res == reference_oracle(f, max_worlds, CFG2), pretty(f)
+            verdicts.add(res.verdict)
+            if res.verdict == "SAT":
+                sizes.add(len(res.witness[0].worlds))
+    assert sizes == {1, 2, 3, 4} and "UNSAT" in verdicts
 
 
 def test_general_frames_extend_moment_frames():
