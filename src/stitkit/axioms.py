@@ -414,23 +414,12 @@ def schema_instances(name, max_k, grid):
 
 
 def _sweep_frames(f, max_points, frames_of):
-    """First (frame, valuation, point) falsifying f, or None.
-
-    Sweeps every frame up to max_points worlds over the occurring agents
-    and every valuation of the occurring atoms.
-    """
+    """First (frame, valuation, point) falsifying f, or None, over every
+    frames_of frame of the occurring agents up to max_points worlds."""
     agents = sorted(syntax.agents(f))
-    atom_names = sorted(syntax.atoms(f))
-    ops, args = kernel.compile_formula(
-        f, {p: i for i, p in enumerate(atom_names)},
-        {a: i for i, a in enumerate(agents)})
-    for n in range(1, max_points + 1):
-        frames = frames_of(n, len(agents))
-        hit = kernel.scan_frames(ops, args, frames, len(atom_names), False)
-        if hit is not None:
-            position, v, point = hit
-            return frames[position], v, point
-    return None
+    return solver.first_hit(
+        f, (frames_of(n, len(agents)) for n in range(1, max_points + 1)),
+        agents, False)[0]
 
 
 def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):

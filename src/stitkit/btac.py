@@ -94,8 +94,6 @@ class BtacModel:
                 leaf_of[h] = w
         self.histories = tuple(names)
         self._leaf_of = leaf_of
-        self._children = children
-        self.root = root
 
     def moments_of(self, h):
         """Moments a history passes through, root first."""
@@ -122,37 +120,42 @@ class BtacModel:
 
 
 def validate_model(m):
-    """All invariant violations, as human-readable strings."""
+    """All invariant violations, as human-readable strings.  H_w is built
+    once, by one walk per history, so a chain validates in linear time."""
     out = []
-    known, histories = set(m.moments), set(m.histories)
+    through = {w: set() for w in m.moments}
+    for h in m.histories:
+        for w in m.moments_of(h):
+            through[w].add(h)
+    through = {w: frozenset(hs) for w, hs in through.items()}
+    histories = set(m.histories)
     for (a, w), cells in sorted(m.choice.items(),
                                 key=lambda kv: (kv[0][1], kv[0][0])):
-        if w not in known:
+        if w not in through:
             out.append(f"choice {a} at unknown moment {w!r}")
             continue
-        out.extend(check_partition(m.histories_through(w), cells,
+        out.extend(check_partition(through[w], cells,
                                    f"choice {a} at {w}", "histories"))
-    out.extend(_superadditivity(m))
-    passes = {}  # history -> the set of moments it passes through
+    out.extend(_superadditivity(m, through))
     for p, pairs in sorted(m.valuation.items()):
         for w, h in sorted(pairs):
-            if w not in known or h not in histories:
+            if w not in through or h not in histories:
                 out.append(f"val {p}: unknown index {w}/{h}")
-                continue
-            if h not in passes:
-                passes[h] = set(m.moments_of(h))
-            if w not in passes[h]:
+            elif h not in through[w]:
                 out.append(f"val {p}: history {h} does not pass "
                            f"through {w}")
     return out
 
 
-def _superadditivity(m):
+def _superadditivity(m, through):
     out = []
+    agents_at = {}
+    for a, w in m.choice:
+        agents_at.setdefault(w, []).append(a)
     for w in m.moments:
-        agents = sorted(a for (a, w2) in m.choice if w2 == w)
-        for combo in unmet_choices([m.choice_cells(a, w) for a in agents],
-                                   m.histories_through(w)):
+        agents = sorted(agents_at.get(w, ()))
+        for combo in unmet_choices([m.choice[a, w] for a in agents],
+                                   through[w]):
             cells = ", ".join(
                 f"agent {a}: {{{' '.join(sorted(c))}}}"
                 for a, c in zip(agents, combo))

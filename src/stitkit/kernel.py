@@ -15,15 +15,16 @@ packs one point-mask per atom: atom ``a`` is true exactly at the points in
 ``(v >> (a * n_points)) & ((1 << n_points) - 1)``.
 
 ``scan_frames`` runs a compiled formula over all
-``2**(n_atoms * n_points)`` valuations of each of a list of frames of one
-size and returns the first (position, valuation, point), in frame order,
-where it holds or fails; ``scan_sat`` and ``scan_valid`` do the same for
-one frame.  Each valuation is a slot of ``n_points + 1`` bits (the top
-bit a guard kept at zero), and the program runs on up to
-``2**_SCAN_CHUNK_BITS`` slots at once, with the frames side by side: each
-frame owns a region of ``2**s`` slots, ``s`` its number of valuation bits
-(at most ``_SCAN_CHUNK_BITS``), and every relation's cells are packed so
-that each region holds its own frame's cells.  ALLBLOCK tests containment
+``2**(n_atoms * n_points)`` valuations of each of a list of frames of
+one size and returns the first (position, valuation, point), in frame
+order, where it holds or fails; in stitkit only ``solver.first_hit``
+calls it.  ``scan_sat`` and ``scan_valid`` do the same for one frame.
+Each valuation is a slot of ``n_points + 1`` bits (the top bit a guard
+kept at zero), and the program runs on up to ``2**_SCAN_CHUNK_BITS``
+slots at once, with the frames side by side: each frame owns a region
+of ``2**s`` slots, ``s`` its number of valuation bits (at most
+``_SCAN_CHUNK_BITS``), and every relation's cells are packed so that
+each region holds its own frame's cells.  ALLBLOCK tests containment
 with the SWAR zero-detect ``guard ^ (((cell & out) | guard) - low_bits)
 & guard``, which never borrows across slots.  ``eval_mask`` is the
 one-valuation reference the scans are tested against; it shares no code
@@ -221,7 +222,7 @@ def _passes(frames, n_atoms):
     return tuple(out)
 
 
-def _scan(ops, args, frames, n_atoms, want_sat):
+def scan_frames(ops, args, frames, n_atoms, want_sat):
     """First (position, valuation index, point) in frame order where the
     program holds (with ``want_sat``) or fails (without), or None.
 
@@ -287,25 +288,16 @@ def _values(ops, args, leaves, full, blocks, low, guard, n):
     return val
 
 
-def scan_frames(ops, args, frames, n_atoms, want_sat):
-    """First (position, valuation index, point) in frame order where the
-    program holds (``want_sat``) or fails (not ``want_sat``), or None.
-
-    All of ``frames`` have the same ``n_points``; they are scanned side
-    by side, many frames per pass of the program (see ``_scan``).
-    """
-    return _scan(ops, args, frames, n_atoms, want_sat)
-
-
+# one-frame scans, kept for perfbench's spans until they wrap scan_frames
 def scan_sat(ops, args, frame, n_atoms):
     """First (valuation index, point) satisfying the program, or None."""
-    hit = _scan(ops, args, (frame,), n_atoms, True)
+    hit = scan_frames(ops, args, (frame,), n_atoms, True)
     return None if hit is None else hit[1:]
 
 
 def scan_valid(ops, args, frame, n_atoms):
     """First falsifying (valuation index, point), or None if frame-valid."""
-    hit = _scan(ops, args, (frame,), n_atoms, False)
+    hit = scan_frames(ops, args, (frame,), n_atoms, False)
     return None if hit is None else hit[1:]
 
 

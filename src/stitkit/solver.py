@@ -24,10 +24,10 @@ candidate types as bitsets, so a combination of profile subsets costs a
 few ANDs and ORs.  The scalar loops they replaced are kept in the tests
 as references.
 
-The oracle is an unrelated brute force: at each world count up to a cap
-it walks one list of frames with the permutation property, the
-single-class (moment) frames first, and sweeps all valuations through the
-scan kernel.
+The oracle, the product check and the schema sweeps of axioms are
+unrelated brute forces, all run by first_hit: one kernel scan of every
+valuation per list of frames, up to the first hit.  The oracle's lists
+are the frames with the permutation property of each world count.
 """
 
 from __future__ import annotations
@@ -382,8 +382,8 @@ def _canonical(parts, n):
 @lru_cache(maxsize=None)
 def _frames(n, n_agents):
     """Partition tuples with the permutation property, deduplicated up
-    to world renaming: (one-class frames, multi-class frames), each in
-    itertools.product order.
+    to world renaming: (one-class frames, every frame), the one-class
+    frames first in both and each part in itertools.product order.
 
     A tuple has the property exactly when no settledness class has an
     unmet choice of cells (see the kripke module).  The classes are the
@@ -406,22 +406,39 @@ def _frames(n, n_agents):
             continue
         seen.add(key)
         out[len(classes) > 1].append(kernel.Frame(n, parts + (classes,)))
-    return tuple(out[0]), tuple(out[1])
+    return tuple(out[0]), tuple(out[0] + out[1])
 
 
-@lru_cache(maxsize=None)
 def moment_frames(n, n_agents):
     """Single-class frames: rectangular partition tuples, deduplicated up
     to world renaming.  Settledness is the full cell."""
     return _frames(n, n_agents)[0]
 
 
-@lru_cache(maxsize=None)
 def general_frames(n, n_agents):
     """Every frame with the permutation property, deduplicated: the
     moment frames first, then the multi-class ones."""
-    moment, multi = _frames(n, n_agents)
-    return moment + multi
+    return _frames(n, n_agents)[1]
+
+
+def first_hit(f, frame_lists, agent_order, want_sat):
+    """((frame, valuation index, point), frames scanned) for the first
+    point in list order where f holds (want_sat) or fails, or (None,
+    frames scanned).  f is compiled once, atoms in sorted order and agent
+    agent_order[k] on relation k; each list, of frames of one size, is
+    one kernel.scan_frames call, and none is read past the first hit."""
+    atom_names = sorted(syntax.atoms(f))
+    ops, args = kernel.compile_formula(
+        f, {p: k for k, p in enumerate(atom_names)},
+        {a: k for k, a in enumerate(agent_order)})
+    scanned = 0
+    for frames in frame_lists:
+        hit = kernel.scan_frames(ops, args, frames, len(atom_names), want_sat)
+        if hit is not None:
+            position, v, point = hit
+            return (frames[position], v, point), scanned + position + 1
+        scanned += len(frames)
+    return None, scanned
 
 
 def _frame_model(frame, v, atom_names, agents, cfg):
@@ -454,24 +471,18 @@ def oracle(f, max_worlds, cfg=None):
         raise ValueError(
             f"{len(atom_names)} atoms at {max_worlds} worlds exceeds the "
             f"oracle valuation budget of {kernel.MAX_VALUATION_BITS} bits")
-    ops, args = kernel.compile_formula(
-        f, {p: k for k, p in enumerate(atom_names)},
-        {a: k for k, a in enumerate(agents)})
-    stats = {"engine": "oracle", "frames": 0, "max_worlds": max_worlds}
-    for n in range(1, max_worlds + 1):
-        frames = general_frames(n, len(agents))
-        hit = kernel.scan_frames(ops, args, frames, len(atom_names), True)
-        if hit is None:
-            stats["frames"] += len(frames)
-            continue
-        position, v, point = hit
-        stats["frames"] += position + 1
-        model = _frame_model(frames[position], v, atom_names, agents, cfg)
-        world = model.worlds[point]
-        if mc(model, world, f) is not True:
-            raise AssertionError("oracle witness failed re-check")
-        return SatResult("SAT", (model, world), stats)
-    return SatResult("UNSAT", None, stats)
+    hit, scanned = first_hit(
+        f, (general_frames(n, len(agents))
+            for n in range(1, max_worlds + 1)), agents, True)
+    stats = {"engine": "oracle", "frames": scanned, "max_worlds": max_worlds}
+    if hit is None:
+        return SatResult("UNSAT", None, stats)
+    frame, v, point = hit
+    model = _frame_model(frame, v, atom_names, agents, cfg)
+    world = model.worlds[point]
+    if mc(model, world, f) is not True:
+        raise AssertionError("oracle witness failed re-check")
+    return SatResult("SAT", (model, world), stats)
 
 
 def product_sat(f, max_cells, cfg=None):
@@ -487,9 +498,16 @@ def product_sat(f, max_cells, cfg=None):
         raise ValueError("product check needs agents within {0, 1}")
     if max_cells < 1:
         raise ValueError(f"max_cells {max_cells} is below 1")
-    atom_names = sorted(syntax.atoms(f))
-    ops, args = kernel.compile_formula(
-        f, {p: k for k, p in enumerate(atom_names)}, {0: 0, 1: 1})
+    hit, _ = first_hit(f, _product_frames(max_cells), (0, 1), True)
+    if hit is None:
+        return SatResult("UNSAT", None, {"engine": "product"})
+    rows, cols = hit[0].blocks[:2]
+    return SatResult("SAT", None, {"engine": "product", "rows": len(rows),
+                                   "cols": len(cols)})
+
+
+def _product_frames(max_cells):
+    """One-frame lists of the product frames, (rows, cols) row-major."""
     for rows in range(1, max_cells + 1):
         for cols in range(1, max_cells + 1):
             n = rows * cols
@@ -499,10 +517,5 @@ def product_sat(f, max_cells, cfg=None):
             col_cells = tuple(
                 sum(1 << (r * cols + c) for r in range(rows))
                 for c in range(cols))
-            frame = kernel.Frame(
-                n, (row_cells, col_cells, ((1 << n) - 1,)))
-            if kernel.scan_sat(ops, args, frame, len(atom_names)):
-                return SatResult("SAT", None,
-                                 {"engine": "product", "rows": rows,
-                                  "cols": cols})
-    return SatResult("UNSAT", None, {"engine": "product"})
+            yield (kernel.Frame(n, (row_cells, col_cells,
+                                    ((1 << n) - 1,))),)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -125,6 +126,19 @@ def test_validate_superadditivity_violation():
     m = parse_model(text)
     assert any("independence" in v.lower() or "intersection" in v.lower()
                or "superadditiv" in v.lower() for v in validate_model(m))
+
+
+def test_validate_deep_chain_in_linear_time():
+    # H_w is built once per call: one walk per history, not one per moment
+    n = 12000
+    text = ("btac\nmoment m0\n"
+            + "".join(f"moment m{i} parent m{i - 1}\n" for i in range(1, n))
+            + f"choice 0 m{n // 2}: {{h1}}\n"
+            + "val p: " + " ".join(f"m{i}/h1" for i in range(n)) + "\n")
+    m = parse_model(text)
+    start = time.process_time()
+    assert validate_model(m) == []
+    assert time.process_time() - start < 2.0
 
 
 def test_tree_structure_errors():

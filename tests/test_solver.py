@@ -159,6 +159,20 @@ def test_product_sat_never_skips_a_frame():
     f = parse("(<0>p & <0>~p & <1>q & <1>~q & a & b & c & d & e)")
     with pytest.raises(ValueError):
         product_sat(f, 3)
+    # a hit on a small frame ends the scan before any frame too large
+    res = product_sat(parse("(a & b & c & d & e & f & g & h & i)"), 3)
+    assert (res.verdict, res.stats["rows"], res.stats["cols"]) == \
+        ("SAT", 1, 1)
+
+
+def test_product_sat_stats():
+    # agent 0 chooses the row, so its cell holds one world per column:
+    # <0>p & <0>~p needs two columns, and a swapped agent order two rows
+    for text, rows, cols in (("(<0>p & <0>~p)", 1, 2),
+                             ("(<1>p & <1>~p)", 2, 1)):
+        assert product_sat(parse(text), 3).stats == {
+            "engine": "product", "rows": rows, "cols": cols}
+    assert product_sat(parse("(p & ~p)"), 2).stats == {"engine": "product"}
 
 
 def test_agent_universe_guard():
