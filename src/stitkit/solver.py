@@ -16,6 +16,13 @@ and checks the closure conditions directly.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
 
+A type is one int: subformula i (in post-order) is bit len(sf) - 1 - i,
+so the first subformula is the most significant bit.  A settledness
+profile is the type ANDed with the mask of the []-subformulas, and an
+agent's profile the type ANDed with the mask of that agent's
+[i]-subformulas.  Masked types then sort as the bit strings read from
+subformula 0 on, which fixes the group, profile and combination order.
+
 Both inner loops are bit-parallel on Python integers.  _types compiles
 the subformulas into a boolean program over the leaves and runs it
 through kernel.columns, so a connective or a T constraint is one big-int
@@ -44,7 +51,6 @@ from .syntax import And, Atom, Box, Cstit, Not
 ORACLE_MAX_WORLDS = 5
 ENGINE_MAX_LEAVES = 22
 ENGINE_MAX_COMBOS = 1 << 22
-_ONE = "1".__eq__  # a binary digit as a bool
 
 
 class InconclusiveError(Exception):
@@ -84,14 +90,16 @@ def _types(g):
     """All locally coherent truth assignments over the subformulas of g.
 
     Returns (sf, idx, types): the subformulas in post-order, their
-    positions, and one tuple of truth values per coherent assignment.
-    Coherence means boolean clauses hold exactly and every true modal
-    formula has a true body (the T constraint).
+    positions, and one int per coherent assignment, with the truth value
+    of sf[i] at bit len(sf) - 1 - i.  Coherence means boolean clauses
+    hold exactly and every true modal formula has a true body (the T
+    constraint).
 
     The leaves (atoms, [i]- and []-subformulas) take every assignment
     once.  kernel.columns evaluates the subformulas as bit columns over
     one chunk of assignments at a time, so a T constraint costs one
-    big-int operation per chunk.  The types come out in ascending
+    big-int operation per chunk.  A type is its row of the columns read
+    as binary digits, sf[0] first.  The types come out in ascending
     assignment order.
     """
     sf = syntax.subformulas(g)
@@ -124,8 +132,8 @@ def _types(g):
         # binary digits, lowest first: bit b of a column at index b
         pos = [b for b, ch in enumerate(bin(ok)[:1:-1]) if ch == "1"]
         digits = [bin(v | top)[:2:-1] for v in col]
-        out.extend(zip(*(map(_ONE, map(d.__getitem__, pos))
-                         for d in digits)))
+        out.extend(int("".join(row), 2) for row in zip(
+            *(map(d.__getitem__, pos) for d in digits)))
     return sf, idx, out
 
 
@@ -142,50 +150,43 @@ def sat(f, cfg=None):
     _check_agents(f, cfg)
     g = syntax.expand_dstit(f)
     sf, idx, types = _types(g)
-    root = idx[g]
-    box_nodes = [i for i, s in enumerate(sf) if isinstance(s, Box)]
+    bit = {s: 1 << (len(sf) - 1 - i) for s, i in idx.items()}
+    root = bit[g]
+    # (node bit, body bit) of every [] and of every agent's [i]
+    box_pairs = [(bit[s], bit[s.sub]) for s in sf if isinstance(s, Box)]
     agents = sorted({s.agent for s in sf if isinstance(s, Cstit)})
-    cstit_nodes = {a: [i for i, s in enumerate(sf)
-                       if isinstance(s, Cstit) and s.agent == a]
-                   for a in agents}
-    sub_of = {i: idx[sf[i].sub] for i, s in enumerate(sf)
-              if isinstance(sf[i], (Cstit, Box))}
+    pairs = {a: [(bit[s], bit[s.sub]) for s in sf
+                 if isinstance(s, Cstit) and s.agent == a]
+             for a in agents}
+    box_mask = sum(n for n, _ in box_pairs)
+    amask = {a: sum(n for n, _ in pairs[a]) for a in agents}
 
     bound = 2 ** syntax.length(f)
     stats = {"engine": "types", "types": len(types), "groups": 0,
              "combos": 0, "bound": bound}
 
-    def boxprof(t):
-        return tuple(t[i] for i in box_nodes)
-
-    def iprof(t, a):
-        return tuple(t[i] for i in cstit_nodes[a])
-
     groups = {}
     for t in types:
-        groups.setdefault(boxprof(t), []).append(t)
+        groups.setdefault(t & box_mask, []).append(t)
 
     for bp, group in sorted(groups.items(), reverse=True):
         stats["groups"] += 1
         # settledness positives: every member must verify the body
-        cand = [t for t in group
-                if all(t[sub_of[i]] for i, v in zip(box_nodes, bp) if v)]
-        if not any(t[root] for t in cand):
+        need = sum(b for n, b in box_pairs if bp & n)
+        cand = [t for t in group if t & need == need]
+        if not any(t & root for t in cand):
             continue
-        box_negs = [sub_of[i] for i, v in zip(box_nodes, bp) if not v]
-        profiles = {a: sorted({iprof(t, a) for t in cand}) for a in agents}
-        subset_space = 1
-        for a in agents:
-            subset_space *= 2 ** len(profiles[a])
-        if subset_space > ENGINE_MAX_COMBOS:
+        box_negs = [b for n, b in box_pairs if not bp & n]
+        profiles = {a: sorted({t & amask[a] for t in cand}) for a in agents}
+        if 1 << sum(map(len, profiles.values())) > ENGINE_MAX_COMBOS:
             stats["cap"] = "combos"
             raise InconclusiveError(
                 "profile subset space exceeds the engine cap", stats)
-        hit = _search_group(cand, agents, profiles, iprof, cstit_nodes,
-                            sub_of, box_negs, root, stats)
+        hit = _search_group(cand, agents, profiles, amask, pairs, box_negs,
+                            root, stats)
         if hit is not None:
             u_set, t_sat = hit
-            model, world = _build_witness(u_set, t_sat, sf, agents, iprof,
+            model, world = _build_witness(u_set, t_sat, bit, agents, amask,
                                           cfg)
             if mc(model, world, f) is not True:
                 raise AssertionError("witness failed re-check")
@@ -196,41 +197,41 @@ def sat(f, cfg=None):
     return SatResult("UNSAT", None, stats)
 
 
-def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
-                  box_negs, root, stats):
+def _search_group(cand, agents, profiles, amask, pairs, box_negs, root,
+                  stats):
     """First combination of profile subsets, one per agent, whose types
     close into a model; returns (u_set, t_sat) or None.
 
-    Sets of types are bitsets over the positions of cand.  For each agent
-    and profile one mask holds the candidates with that profile, and the
-    mask of the candidates where a subformula holds is built the first
-    time a check reads it.  Combinations come in the order of
-    itertools.product over _subsets_desc, one count each.
+    Agent a's profile of t is t & amask[a], and pairs[a] holds the (node
+    bit, body bit) of a's [a]-subformulas.  Sets of types are bitsets
+    over the positions of cand.  For each agent and profile one mask holds
+    the candidates with that profile, and the mask of the candidates where
+    a subformula holds is built the first time a check reads it.
+    Combinations come in the order of itertools.product over
+    _subsets_desc, one count each.
     """
     everyone = (1 << len(cand)) - 1
     holds = {}
 
-    def col(n):
-        m = holds.get(n)
+    def col(b):
+        m = holds.get(b)
         if m is None:
-            m = holds[n] = sum(1 << j for j, t in enumerate(cand) if t[n])
+            m = holds[b] = sum(1 << j for j, t in enumerate(cand) if t & b)
         return m
 
-    # per agent: (subset, its profile masks, their union), largest first
+    # per agent: (subset, its profile masks, their union), largest first;
+    # one agent's profile masks are disjoint, so their sum is their union
     choices = []
     for a in agents:
         masks = dict.fromkeys(profiles[a], 0)
         for j, t in enumerate(cand):
-            masks[iprof(t, a)] |= 1 << j
+            masks[t & amask[a]] |= 1 << j
         opts = []
         for rs in _subsets_desc(profiles[a]):
             ms = [masks[r] for r in rs]
-            union = 0
-            for m in ms:
-                union |= m
-            opts.append((rs, ms, union))
+            opts.append((rs, ms, sum(ms)))
         choices.append(opts)
-    bodies = [[sub_of[pos] for pos in cstit_nodes[a]] for a in agents]
+    bit_pairs = [pairs[a] for a in agents]
     root_mask = col(root)
     for combo in itertools.product(*choices):
         stats["combos"] += 1
@@ -242,11 +243,11 @@ def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
         # chosen cell is refuted, and every choice of one profile per
         # agent is realized; the last test walks a product, so it runs
         # on the fewest combinations
-        if (hit and all(u & ~col(n) for n in box_negs)
-                and all(u & m & ~col(sub)
-                        for (rs, ms, _), subs in zip(combo, bodies)
+        if (hit and all(u & ~col(b) for b in box_negs)
+                and all(u & m & ~col(b)
+                        for (rs, ms, _), prs in zip(combo, bit_pairs)
                         for r, m in zip(rs, ms)
-                        for v, sub in zip(r, subs) if not v)
+                        for n, b in prs if not r & n)
                 and next(unmet_choices([ms for _, ms, _ in combo], ~0),
                          None) is None):
             u_set = [t for j, t in enumerate(cand) if u >> j & 1]
@@ -254,23 +255,19 @@ def _search_group(cand, agents, profiles, iprof, cstit_nodes, sub_of,
     return None
 
 
-def _build_witness(u_set, t_sat, sf, agents, iprof, cfg):
+def _build_witness(u_set, t_sat, bit, agents, amask, cfg):
     names = [f"w{k}" for k in range(len(u_set))]
-    world_of = dict(zip(map(tuple, u_set), names))
     partitions = {}
     for a in agents:
         cells = {}
         for t, w in zip(u_set, names):
-            cells.setdefault(iprof(t, a), set()).add(w)
+            cells.setdefault(t & amask[a], set()).add(w)
         partitions[a] = tuple(frozenset(c) for c in cells.values())
-    valuation = {}
-    for i, s in enumerate(sf):
-        if isinstance(s, Atom):
-            valuation[s.name] = frozenset(
-                w for t, w in zip(u_set, names) if t[i])
+    valuation = {s.name: frozenset(w for t, w in zip(u_set, names) if t & b)
+                 for s, b in bit.items() if isinstance(s, Atom)}
     model = MomentModel(tuple(names), partitions, valuation,
                         cfg.agent_universe)
-    return model, world_of[tuple(t_sat)]
+    return model, names[u_set.index(t_sat)]
 
 
 def valid(f, cfg=None):
@@ -485,7 +482,7 @@ def oracle(f, max_worlds, cfg=None):
     return SatResult("SAT", (model, world), stats)
 
 
-def product_sat(f, max_cells, cfg=None):
+def product_sat(f, max_cells):
     """Two-agent cross-check over full product frames.
 
     Worlds are pairs (row, column); agent 0 chooses the row, agent 1 the
@@ -493,7 +490,6 @@ def product_sat(f, max_cells, cfg=None):
     cells per agent satisfies f under some valuation; raises ValueError
     on reaching a frame too large for the scan kernel.
     """
-    cfg = cfg or SolverConfig()
     if not syntax.agents(f) <= {0, 1}:
         raise ValueError("product check needs agents within {0, 1}")
     if max_cells < 1:

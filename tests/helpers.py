@@ -318,32 +318,33 @@ def reference_types(g):
                 ok = False
                 break
         if ok:
-            out.append(tuple(val))
+            # sf[0] is the most significant bit
+            out.append(int("".join("1" if v else "0" for v in val), 2))
     return sf, idx, out
 
 
-def reference_search_group(cand, agents, profiles, iprof, cstit_nodes,
-                           sub_of, box_negs, root, stats):
+def reference_search_group(cand, agents, profiles, amask, pairs, box_negs,
+                           root, stats):
     """solver._search_group over lists and sets of types."""
     for combo in itertools.product(
             *(_subsets_desc(profiles[a]) for a in agents)):
         stats["combos"] += 1
         allowed = {a: set(r) for a, r in zip(agents, combo)}
         u_set = [t for t in cand
-                 if all(iprof(t, a) in allowed[a] for a in agents)]
+                 if all(t & amask[a] in allowed[a] for a in agents)]
         if not u_set:
             continue
-        realized = {tuple(iprof(t, a) for a in agents) for t in u_set}
+        realized = {tuple(t & amask[a] for a in agents) for t in u_set}
         if any(tup not in realized for tup in itertools.product(*combo)):
             continue
-        if any(all(t[n] for t in u_set) for n in box_negs):
+        if any(all(t & n for t in u_set) for n in box_negs):
             continue
         ok = True
         for a, rs in zip(agents, combo):
             for r in rs:
-                cell = [t for t in u_set if iprof(t, a) == r]
-                for pos, v in zip(cstit_nodes[a], r):
-                    if not v and all(t[sub_of[pos]] for t in cell):
+                cell = [t for t in u_set if t & amask[a] == r]
+                for n, b in pairs[a]:
+                    if not r & n and all(t & b for t in cell):
                         ok = False
                         break
                 if not ok:
@@ -352,7 +353,7 @@ def reference_search_group(cand, agents, profiles, iprof, cstit_nodes,
                 break
         if not ok:
             continue
-        t_sat = next((t for t in u_set if t[root]), None)
+        t_sat = next((t for t in u_set if t & root), None)
         if t_sat is None:
             continue
         return u_set, t_sat
