@@ -72,14 +72,15 @@ print(checked)
 """
 
 
-def _run(tmp_path, mutant=None):
+def _run(tmp_path, name=None):
     pkg = tmp_path / "stitkit"
     shutil.copytree(SOLVER.parent, pkg,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    if mutant is not None:
-        old, new = mutant
-        path = pkg / "solver.py"
-        path.write_text(path.read_text().replace(old, new))
+    if name is not None:
+        old, new = MUTANTS[name]
+        text = SOLVER.read_text()
+        assert text.count(old) == 1, name
+        (pkg / "solver.py").write_text(text.replace(old, new))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path),
                                                        str(TESTS)]))
     return subprocess.run([sys.executable, "-c", CHECK], env=env,
@@ -92,20 +93,14 @@ def test_unmutated_copy_passes(tmp_path):
     assert int(out.stdout) == 2367
 
 
-def _run_mutant(tmp_path, name):
-    old, new = MUTANTS[name]
-    assert SOLVER.read_text().count(old) == 1, name
-    return _run(tmp_path, (old, new))
-
-
 @pytest.mark.parametrize("name", sorted(set(MUTANTS) - EQUIVALENT))
 def test_mutant_is_caught(tmp_path, name):
-    out = _run_mutant(tmp_path, name)
+    out = _run(tmp_path, name)
     assert out.returncode == 3, (out.returncode, out.stderr)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENT))
 def test_equivalent_mutant_passes(tmp_path, name):
-    out = _run_mutant(tmp_path, name)
+    out = _run(tmp_path, name)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) == 2367
