@@ -16,20 +16,16 @@ and checks the closure conditions directly.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
 
-A type is one int: subformula i (in post-order) is bit len(sf) - 1 - i,
-so the first subformula is the most significant bit.  A settledness
-profile is the type ANDed with the mask of the []-subformulas, and an
-agent's profile the type ANDed with the mask of that agent's
-[i]-subformulas.  Masked types then sort as the bit strings read from
-subformula 0 on, which fixes the group, profile and combination order.
-
-Both inner loops are bit-parallel on Python integers.  _types compiles
-the subformulas into a boolean program over the leaves and runs it
-through kernel.columns, so a connective or a T constraint is one big-int
-operation per chunk of leaf assignments.  _search_group holds sets of
-candidate types as bitsets, so a combination of profile subsets costs a
-few ANDs and ORs.  The scalar loops they replaced are kept in the tests
-as references.
+A type is stored as its leaf assignment, one bit per leaf (atoms, [i]-
+and []-subformulas), and settledness and agent profiles are masks of
+it.  Both inner loops are bit-parallel on Python integers.  _types runs
+the subformulas as a boolean program through kernel.columns, so a
+connective or a T constraint is one big-int operation per chunk of leaf
+assignments, and keeps the columns of the input and of the modal bodies
+as strings over the types.  _search_group reads those as bitsets over a
+group's candidates, so a combination of profile subsets costs a few ANDs
+and ORs.  The scalar loops they replaced are kept in the tests as
+references.
 
 The oracle, the product check and the schema sweeps of axioms are
 unrelated brute forces, all run by first_hit: one kernel scan of every
@@ -40,6 +36,8 @@ are the frames with the permutation property of each world count.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +49,9 @@ from .syntax import And, Atom, Box, Cstit, Not
 ORACLE_MAX_WORLDS = 5
 ENGINE_MAX_LEAVES = 22
 ENGINE_MAX_COMBOS = 1 << 22
+# for _types: digits as the bytes 0 and 1, and chunk offsets made once
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_OFFSETS = tuple(range(1 << kernel._COLUMN_CHUNK_BITS))
 
 
 class InconclusiveError(Exception):
@@ -89,52 +90,56 @@ def _check_agents(f, cfg):
 def _types(g):
     """All locally coherent truth assignments over the subformulas of g.
 
-    Returns (sf, idx, types): the subformulas in post-order, their
-    positions, and one int per coherent assignment, with the truth value
-    of sf[i] at bit len(sf) - 1 - i.  Coherence means boolean clauses
-    hold exactly and every true modal formula has a true body (the T
-    constraint).
-
-    The leaves (atoms, [i]- and []-subformulas) take every assignment
-    once.  kernel.columns evaluates the subformulas as bit columns over
-    one chunk of assignments at a time, so a T constraint costs one
-    big-int operation per chunk.  A type is its row of the columns read
-    as binary digits, sf[0] first.  The types come out in ascending
-    assignment order.
+    A type is its leaf assignment, as every subformula's value follows
+    from the leaves: leaf k at bit k, in post-order with the [] leaves
+    last, so that the types of one settledness profile are contiguous.
+    Coherence is the T constraint: every true modal leaf has a true body.
+    Returns (leaves, rows, root): the leaves, each with its body's column
+    (None for an atom), the coherent assignments ascending, and g's
+    column.  A column is a '0'/'1' string over rows, compressed from
+    kernel.columns' bit columns once per chunk.
     """
     sf = syntax.subformulas(g)
     idx = {s: i for i, s in enumerate(sf)}
-    ops, args, modal, n_leaves = [], [], [], 0
+    ops, args, plain, boxes, modal = [], [], [], [], {}
     for i, s in enumerate(sf):
         if isinstance(s, Not):
             op, arg = kernel.OP_NOT, (idx[s.sub], 0)
         elif isinstance(s, And):
             op, arg = kernel.OP_AND, (idx[s.left], idx[s.right])
         else:
-            op, arg = kernel.OP_ATOM, (n_leaves, 0)
-            n_leaves += 1
+            op, arg = kernel.OP_ATOM, None
+            (boxes if isinstance(s, Box) else plain).append(i)
             if not isinstance(s, Atom):
-                modal.append((i, idx[s.sub]))
+                modal[i] = idx[s.sub]
         ops.append(op)
         args.append(arg)
-    if n_leaves > ENGINE_MAX_LEAVES:
+    leaves = plain + boxes
+    if len(leaves) > ENGINE_MAX_LEAVES:
         raise InconclusiveError(
-            f"{n_leaves} independent subformulas exceed the engine cap",
-            {"cap": "leaves", "leaves": n_leaves})
-    out = []
-    for full, col in kernel.columns(ops, args, n_leaves):
+            f"{len(leaves)} independent subformulas exceed the engine cap",
+            {"cap": "leaves", "leaves": len(leaves)})
+    for k, i in enumerate(leaves):
+        args[i] = (k, 0)
+    # kept: the columns of every body and of g; rows in 8 bytes each
+    parts = {i: [] for i in [*modal.values(), len(sf) - 1]}
+    rows, base = array("q"), 0
+    for full, col in kernel.columns(ops, args, len(leaves)):
         ok = full
-        for i, body in modal:
+        for i, body in modal.items():
             ok &= ~col[i] | col[body]
-        if not ok:
-            continue
         top = full + 1
         # binary digits, lowest first: bit b of a column at index b
-        pos = [b for b, ch in enumerate(bin(ok)[:1:-1]) if ch == "1"]
-        digits = [bin(v | top)[:2:-1] for v in col]
-        out.extend(int("".join(row), 2) for row in zip(
-            *(map(d.__getitem__, pos) for d in digits)))
-    return sf, idx, out
+        flags = bin(ok | top)[:2:-1].encode().translate(_FLAGS)
+        pos = list(itertools.compress(_OFFSETS, flags))
+        rows.extend(map(base.__add__, pos))
+        for i, out in parts.items():
+            digits = bin(col[i] | top)[:2:-1]
+            out.append("".join(map(digits.__getitem__, pos)))
+        base += full.bit_length()
+    cols = {i: "".join(out) for i, out in parts.items()}
+    return ([(sf[i], cols[modal[i]] if i in modal else None)
+             for i in leaves], rows, cols[len(sf) - 1])
 
 
 def _subsets_desc(items):
@@ -149,45 +154,51 @@ def sat(f, cfg=None):
     cfg = cfg or SolverConfig()
     _check_agents(f, cfg)
     g = syntax.expand_dstit(f)
-    sf, idx, types = _types(g)
-    bit = {s: 1 << (len(sf) - 1 - i) for s, i in idx.items()}
-    root = bit[g]
-    # (node bit, body bit) of every [] and of every agent's [i]
-    box_pairs = [(bit[s], bit[s.sub]) for s in sf if isinstance(s, Box)]
-    agents = sorted({s.agent for s in sf if isinstance(s, Cstit)})
-    pairs = {a: [(bit[s], bit[s.sub]) for s in sf
-                 if isinstance(s, Cstit) and s.agent == a]
-             for a in agents}
+    leaves, rows, root = _types(g)
+    # (leaf bit, body column) of every [] and of every agent's [i]
+    box_pairs, pairs = [], {}
+    for k, (s, body) in enumerate(leaves):
+        if isinstance(s, Box):
+            box_pairs.append((1 << k, body))
+        elif isinstance(s, Cstit):
+            pairs.setdefault(s.agent, []).append((1 << k, body))
+    agents = sorted(pairs)
     box_mask = sum(n for n, _ in box_pairs)
     amask = {a: sum(n for n, _ in pairs[a]) for a in agents}
+    top = 1 << len(leaves)
 
+    def order(r):  # bits from leaf 0 on: the group and profile order
+        return bin(r | top)[:2:-1]
     bound = 2 ** syntax.length(f)
-    stats = {"engine": "types", "types": len(types), "groups": 0,
+    stats = {"engine": "types", "types": len(rows), "groups": 0,
              "combos": 0, "bound": bound}
 
-    groups = {}
-    for t in types:
-        groups.setdefault(t & box_mask, []).append(t)
-
-    for bp, group in sorted(groups.items(), reverse=True):
+    # the [] leaves are the top bits, so a group is a run of rows; a
+    # column over a group has candidate j at bit j
+    groups, lo, shift = {}, 0, len(leaves) - len(box_pairs)
+    while lo < len(rows):
+        hi = bisect_left(rows, (rows[lo] >> shift) + 1 << shift, lo)
+        groups[rows[lo] & box_mask], lo = slice(lo, hi), hi
+    for bp in sorted(groups, key=order, reverse=True):
         stats["groups"] += 1
-        # settledness positives: every member must verify the body
-        need = sum(b for n, b in box_pairs if bp & n)
-        cand = [t for t in group if t & need == need]
-        if not any(t & root for t in cand):
+        span = groups[bp]
+        root_mask = int(root[span][::-1], 2)
+        if not root_mask:
             continue
+        cand = rows[span]
         box_negs = [b for n, b in box_pairs if not bp & n]
-        profiles = {a: sorted({t & amask[a] for t in cand}) for a in agents}
+        profiles = {a: sorted({r & amask[a] for r in cand}, key=order)
+                    for a in agents}
         if 1 << sum(map(len, profiles.values())) > ENGINE_MAX_COMBOS:
             stats["cap"] = "combos"
             raise InconclusiveError(
                 "profile subset space exceeds the engine cap", stats)
-        hit = _search_group(cand, agents, profiles, amask, pairs, box_negs,
-                            root, stats)
+        hit = _search_group(cand, span, agents, profiles, amask, pairs,
+                            box_negs, root_mask, stats)
         if hit is not None:
             u_set, t_sat = hit
-            model, world = _build_witness(u_set, t_sat, bit, agents, amask,
-                                          cfg)
+            model, world = _build_witness(u_set, t_sat, leaves, agents,
+                                          amask, cfg)
             if mc(model, world, f) is not True:
                 raise AssertionError("witness failed re-check")
             if len(model.worlds) > bound:
@@ -197,42 +208,30 @@ def sat(f, cfg=None):
     return SatResult("UNSAT", None, stats)
 
 
-def _search_group(cand, agents, profiles, amask, pairs, box_negs, root,
-                  stats):
+def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
+                  root_mask, stats):
     """First combination of profile subsets, one per agent, whose types
     close into a model; returns (u_set, t_sat) or None.
 
-    Agent a's profile of t is t & amask[a], and pairs[a] holds the (node
-    bit, body bit) of a's [a]-subformulas.  Sets of types are bitsets
-    over the positions of cand.  For each agent and profile one mask holds
-    the candidates with that profile, and the mask of the candidates where
-    a subformula holds is built the first time a check reads it.
-    Combinations come in the order of itertools.product over
-    _subsets_desc, one count each.
+    The candidates cand are the rows span of the columns, sets of them are
+    bitsets in that order, and root_mask holds those where f holds.
+    pairs[a] holds the (leaf bit, body column) of a's [a]-subformulas.
+    Combinations come in itertools.product order over _subsets_desc.
     """
     everyone = (1 << len(cand)) - 1
-    holds = {}
-
-    def col(b):
-        m = holds.get(b)
-        if m is None:
-            m = holds[b] = sum(1 << j for j, t in enumerate(cand) if t & b)
-        return m
-
+    col_pairs = [pairs[a] for a in agents]
+    col = {b: int(b[span][::-1], 2) for b in {*box_negs, *(
+        b for prs in col_pairs for _, b in prs)}}
     # per agent: (subset, its profile masks, their union), largest first;
     # one agent's profile masks are disjoint, so their sum is their union
     choices = []
     for a in agents:
-        masks = dict.fromkeys(profiles[a], 0)
-        for j, t in enumerate(cand):
-            masks[t & amask[a]] |= 1 << j
-        opts = []
-        for rs in _subsets_desc(profiles[a]):
-            ms = [masks[r] for r in rs]
-            opts.append((rs, ms, sum(ms)))
-        choices.append(opts)
-    bit_pairs = [pairs[a] for a in agents]
-    root_mask = col(root)
+        masks, m = dict.fromkeys(profiles[a], 0), amask[a]
+        for j, r in enumerate(cand):
+            masks[r & m] |= 1 << j
+        subsets = [(rs, [masks[r] for r in rs])
+                   for rs in _subsets_desc(profiles[a])]
+        choices.append([(rs, ms, sum(ms)) for rs, ms in subsets])
     for combo in itertools.product(*choices):
         stats["combos"] += 1
         u = everyone
@@ -243,28 +242,29 @@ def _search_group(cand, agents, profiles, amask, pairs, box_negs, root,
         # chosen cell is refuted, and every choice of one profile per
         # agent is realized; the last test walks a product, so it runs
         # on the fewest combinations
-        if (hit and all(u & ~col(b) for b in box_negs)
-                and all(u & m & ~col(b)
-                        for (rs, ms, _), prs in zip(combo, bit_pairs)
+        if (hit and all(u & ~col[b] for b in box_negs)
+                and all(u & m & ~col[b]
+                        for (rs, ms, _), prs in zip(combo, col_pairs)
                         for r, m in zip(rs, ms)
                         for n, b in prs if not r & n)
                 and next(unmet_choices([ms for _, ms, _ in combo], ~0),
                          None) is None):
-            u_set = [t for j, t in enumerate(cand) if u >> j & 1]
+            u_set = [r for j, r in enumerate(cand) if u >> j & 1]
             return u_set, cand[(hit & -hit).bit_length() - 1]
     return None
 
 
-def _build_witness(u_set, t_sat, bit, agents, amask, cfg):
+def _build_witness(u_set, t_sat, leaves, agents, amask, cfg):
     names = [f"w{k}" for k in range(len(u_set))]
     partitions = {}
     for a in agents:
         cells = {}
-        for t, w in zip(u_set, names):
-            cells.setdefault(t & amask[a], set()).add(w)
+        for r, w in zip(u_set, names):
+            cells.setdefault(r & amask[a], set()).add(w)
         partitions[a] = tuple(frozenset(c) for c in cells.values())
-    valuation = {s.name: frozenset(w for t, w in zip(u_set, names) if t & b)
-                 for s, b in bit.items() if isinstance(s, Atom)}
+    valuation = {s.name: frozenset(w for r, w in zip(u_set, names)
+                                   if r >> k & 1)
+                 for k, (s, _) in enumerate(leaves) if isinstance(s, Atom)}
     model = MomentModel(tuple(names), partitions, valuation,
                         cfg.agent_universe)
     return model, names[u_set.index(t_sat)]

@@ -6,6 +6,7 @@ read."""
 
 import itertools
 import random
+from array import array
 import re
 from itertools import count
 
@@ -296,13 +297,14 @@ def reference_types(g):
     """solver._types one assignment at a time: same result, same order."""
     sf = syntax.subformulas(g)
     idx = {s: i for i, s in enumerate(sf)}
-    leaves = [i for i, s in enumerate(sf)
-              if isinstance(s, (Atom, Cstit, Box))]
+    # post-order, the [] leaves last
+    leaves = ([i for i, s in enumerate(sf) if isinstance(s, (Atom, Cstit))]
+              + [i for i, s in enumerate(sf) if isinstance(s, Box)])
     if len(leaves) > ENGINE_MAX_LEAVES:
         raise InconclusiveError(
             f"{len(leaves)} independent subformulas exceed the engine cap",
             {"cap": "leaves", "leaves": len(leaves)})
-    out = []
+    rows, vals = [], []
     for bits in range(1 << len(leaves)):
         val = [False] * len(sf)
         for k, i in enumerate(leaves):
@@ -318,33 +320,44 @@ def reference_types(g):
                 ok = False
                 break
         if ok:
-            # sf[0] is the most significant bit
-            out.append(int("".join("1" if v else "0" for v in val), 2))
-    return sf, idx, out
+            rows.append(bits)
+            vals.append(val)
+
+    def column(s):
+        return "".join("1" if val[idx[s]] else "0" for val in vals)
+
+    return ([(sf[i], None if isinstance(sf[i], Atom) else column(sf[i].sub))
+             for i in leaves], array("q", rows), column(g))
 
 
-def reference_search_group(cand, agents, profiles, amask, pairs, box_negs,
-                           root, stats):
-    """solver._search_group over lists and sets of types."""
+def reference_search_group(cand, span, agents, profiles, amask, pairs,
+                           box_negs, root_mask, stats):
+    """solver._search_group over lists and sets of types, reading each
+    column one character at a time."""
+    cand = list(cand)
+
+    def holds(column, j):
+        return column[span.start + j] == "1"
+
     for combo in itertools.product(
             *(_subsets_desc(profiles[a]) for a in agents)):
         stats["combos"] += 1
         allowed = {a: set(r) for a, r in zip(agents, combo)}
-        u_set = [t for t in cand
-                 if all(t & amask[a] in allowed[a] for a in agents)]
-        if not u_set:
+        u = [j for j, r in enumerate(cand)
+             if all(r & amask[a] in allowed[a] for a in agents)]
+        if not u:
             continue
-        realized = {tuple(t & amask[a] for a in agents) for t in u_set}
+        realized = {tuple(cand[j] & amask[a] for a in agents) for j in u}
         if any(tup not in realized for tup in itertools.product(*combo)):
             continue
-        if any(all(t & n for t in u_set) for n in box_negs):
+        if any(all(holds(b, j) for j in u) for b in box_negs):
             continue
         ok = True
         for a, rs in zip(agents, combo):
             for r in rs:
-                cell = [t for t in u_set if t & amask[a] == r]
+                cell = [j for j in u if cand[j] & amask[a] == r]
                 for n, b in pairs[a]:
-                    if not r & n and all(t & b for t in cell):
+                    if not r & n and all(holds(b, j) for j in cell):
                         ok = False
                         break
                 if not ok:
@@ -353,10 +366,10 @@ def reference_search_group(cand, agents, profiles, amask, pairs, box_negs,
                 break
         if not ok:
             continue
-        t_sat = next((t for t in u_set if t & root), None)
+        t_sat = next((cand[j] for j in u if root_mask >> j & 1), None)
         if t_sat is None:
             continue
-        return u_set, t_sat
+        return [cand[j] for j in u], t_sat
     return None
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -263,11 +264,12 @@ def _leaves(g):
 
 
 def _assert_types_match(g):
-    sf, idx, types = solver._types(g)
-    ref_sf, ref_idx, ref_types = reference_types(g)
-    assert (sf, idx) == (ref_sf, ref_idx), pretty(g)
-    assert types == ref_types, pretty(g)
-    assert all(type(t) is int for t in types)
+    leaves, rows, root = solver._types(g)
+    ref_leaves, ref_rows, ref_root = reference_types(g)
+    assert leaves == ref_leaves, pretty(g)
+    assert rows == ref_rows, pretty(g)
+    assert root == ref_root, pretty(g)
+    assert all(type(c) is str for _, c in leaves if c is not None)
 
 
 def test_types_match_reference_exhaustive():
@@ -294,12 +296,27 @@ def test_types_near_leaf_cap():
     f = syntax.conjoin([parse(f"[0]a{i}") for i in range(10)])
     assert _leaves(f) == 20
     start = time.perf_counter()
-    _, _, types = solver._types(f)
+    _, rows, _ = solver._types(f)
     elapsed = time.perf_counter() - start
-    assert len(types) == 3 ** 10
+    assert len(rows) == 3 ** 10
     # on a 2-vCPU virtual machine: about 0.25 s; reference_types, one
     # assignment at a time, takes about 6.6 s
     assert elapsed < 3.0, elapsed
+
+
+def test_sat_memory_near_leaf_cap():
+    # tracemalloc peaks of the previous engine, which held every type as
+    # one int per subformula: 3.24 and 10.16 MB
+    base = syntax.conjoin([parse(f"[0]a{i}") for i in range(10)])
+    for f, bound in ((base, 3.2e6), (syntax.And(base, parse("~[]p")), 10.1e6)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InconclusiveError, match="profile subset"):
+                sat(f, CFG2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (pretty(f), peak)
 
 
 def _outcome(f, cfg):
