@@ -38,6 +38,7 @@ checker both use it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,8 @@ OP_ALLBLOCK = 3
 _SCAN_CHUNK_BITS = 16
 # columns holds 2**_COLUMN_CHUNK_BITS leaf assignments per bit column
 _COLUMN_CHUNK_BITS = 10
+# the most bits of packed passes that _cached_passes keeps
+_PASS_CACHE_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -187,9 +190,8 @@ def _atom_low(n_points, s, a):
     return x
 
 
-@lru_cache(maxsize=None)
 def _passes(frames, n_atoms):
-    """The frames side by side, in passes of up to
+    """Yield the frames side by side, in passes of up to
     ``2**_SCAN_CHUNK_BITS`` slots: per pass its first frame's position,
     its ``low``, ``guard`` and ``full`` masks, the atom leaves of the low
     ``s`` valuation bits and, per relation, the packed cells.
@@ -205,7 +207,6 @@ def _passes(frames, n_atoms):
     region = _slot_lsb(1 << s, w)
     atom_low = [_atom_low(n, s, a) for a in range(n_atoms)]
     per_pass = (1 << _SCAN_CHUNK_BITS) >> s
-    out = []
     for start in range(0, len(frames), per_pass):
         group = frames[start:start + per_pass]
         k = len(group)
@@ -217,9 +218,39 @@ def _passes(frames, n_atoms):
                     packed[j] |= (region * cell) << (i * width)
             blocks.append(packed)
         low = _slot_lsb(k << s, w)
-        out.append((start, low, low << n, low * ((1 << n) - 1),
-                    [_tile(x, width, k) for x in atom_low], blocks))
-    return tuple(out)
+        yield (start, low, low << n, low * ((1 << n) - 1),
+               [_tile(x, width, k) for x in atom_low], blocks)
+
+
+# (id(frames), n_atoms) -> (frames, passes, their bits), the least
+# recently used first; an entry holds its frames, so their id is not
+# reused while it is cached
+_pass_cache = OrderedDict()
+
+
+def _cached_passes(frames, n_atoms):
+    """The passes of _passes(frames, n_atoms), cached by the identity of
+    ``frames``, so a scan hashes no frame, and for at most
+    ``_PASS_CACHE_BITS`` bits in all: the least recently used entries go
+    first, and passes larger than the whole budget are not kept.  Frames
+    with more valuation bits than one chunk take a pass each, which the
+    scan runs over several chunks: those passes are built one at a time,
+    as the scan reaches them, and none is kept."""
+    if n_atoms * frames[0].n_points > _SCAN_CHUNK_BITS:
+        return _passes(frames, n_atoms)
+    key = id(frames), n_atoms
+    if key in _pass_cache:
+        _pass_cache.move_to_end(key)
+        return _pass_cache[key][1]
+    passes = tuple(_passes(frames, n_atoms))
+    bits = sum(x.bit_length() for _, *masks, tiled, blocks in passes
+               for x in (*masks, *tiled, *(c for r in blocks for c in r)))
+    if bits <= _PASS_CACHE_BITS:
+        _pass_cache[key] = frames, passes, bits
+        total = sum(entry[2] for entry in _pass_cache.values())
+        while total > _PASS_CACHE_BITS:
+            total -= _pass_cache.popitem(last=False)[1][2]
+    return passes
 
 
 def scan_frames(ops, args, frames, n_atoms, want_sat):
@@ -244,8 +275,8 @@ def scan_frames(ops, args, frames, n_atoms, want_sat):
     total_bits = n_atoms * n
     s = min(total_bits, _SCAN_CHUNK_BITS)
     mask = (1 << s) - 1
-    for start, low, guard, full, tiled, blocks in _passes(tuple(frames),
-                                                           n_atoms):
+    for start, low, guard, full, tiled, blocks in _cached_passes(
+            tuple(frames), n_atoms):
         for base in range(0, 1 << total_bits, 1 << s):
             leaves = [x | (low * ((base >> (a * n)) & ones))
                       for a, x in enumerate(tiled)] if base else tiled

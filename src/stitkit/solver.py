@@ -364,16 +364,24 @@ def _mask_partitions(n):
     return tuple(out)
 
 
-def _canonical(parts, n):
-    best = None
+@lru_cache(maxsize=None)
+def _renamings(n):
+    """Per world permutation, the identity first: the index in
+    _mask_partitions(n) of the image of each partition there.  A cell's
+    image is read from a table over all masks, tab[m], and an image's
+    cells are put in _mask_partitions' order, by their lowest bit."""
+    parts_of = _mask_partitions(n)
+    at = {cells: i for i, cells in enumerate(parts_of)}
+    out = []
     for perm in itertools.permutations(range(n)):
-        remapped = tuple(
-            tuple(sorted(sum(1 << perm[i] for i in range(n) if (c >> i) & 1)
-                         for c in cells))
-            for cells in parts)
-        if best is None or remapped < best:
-            best = remapped
-    return best
+        tab = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            tab[m] = tab[m ^ low] | 1 << perm[low.bit_length() - 1]
+        out.append([at[tuple(sorted((tab[c] for c in cells),
+                                    key=lambda x: x & -x))]
+                    for cells in parts_of])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -385,23 +393,35 @@ def _frames(n, n_agents):
     A tuple has the property exactly when no settledness class has an
     unmet choice of cells (see the kripke module).  The classes are the
     components of the partitions, or the whole world set below two
-    agents, where settledness is universal by convention."""
+    agents, where settledness is universal by convention.
+
+    Renaming keeps the property, so each renaming class is tested once,
+    at its first tuple in the walk, which is the one kept.  That tuple
+    marks every renaming of it by its position in the walk, and a later
+    tuple of the class is skipped by one lookup, before its classes are
+    built (orderly generation: Read 1978; McKay 1998)."""
     full = (1 << n) - 1
-    # _mask_partitions(n) holds set_partitions(range(n)) as bitmasks
-    bits = dict(zip(_mask_partitions(n), set_partitions(range(n))))
-    seen = set()
+    parts_of = _mask_partitions(n)
+    points = set_partitions(range(n))  # parts_of as lists of points
+    size = len(parts_of)
+    # per renaming and agent k: each partition's image, times agent k's
+    # place value in a walk position
+    weights = [[[j * size ** (n_agents - 1 - k) for j in image]
+                for k in range(n_agents)] for image in _renamings(n)]
+    seen = bytearray(size ** n_agents)
     out = ([], [])
-    for parts in itertools.product(*(
-            _mask_partitions(n) for _ in range(n_agents))):
+    for pos, ids in enumerate(itertools.product(range(size),
+                                                repeat=n_agents)):
+        if seen[pos]:
+            continue
+        for w in weights:
+            seen[sum(map(list.__getitem__, w, ids))] = 1
+        parts = tuple(map(parts_of.__getitem__, ids))
         classes = ((full,) if n_agents < 2 else tuple(sorted(
             sum(1 << i for i in g) for g in components(
-                range(n), (c for cells in parts for c in bits[cells])))))
+                range(n), (c for i in ids for c in points[i])))))
         if next(unmet_per_class(parts, classes), None) is not None:
             continue
-        key = _canonical(parts, n)
-        if key in seen:
-            continue
-        seen.add(key)
         out[len(classes) > 1].append(kernel.Frame(n, parts + (classes,)))
     return tuple(out[0]), tuple(out[0] + out[1])
 
@@ -506,12 +526,16 @@ def _product_frames(max_cells):
     """One-frame lists of the product frames, (rows, cols) row-major."""
     for rows in range(1, max_cells + 1):
         for cols in range(1, max_cells + 1):
-            n = rows * cols
-            row_cells = tuple(
-                sum(1 << (r * cols + c) for c in range(cols))
-                for r in range(rows))
-            col_cells = tuple(
-                sum(1 << (r * cols + c) for r in range(rows))
-                for c in range(cols))
-            yield (kernel.Frame(n, (row_cells, col_cells,
-                                    ((1 << n) - 1,))),)
+            yield _product_frame(rows, cols)
+
+
+@lru_cache(maxsize=None)
+def _product_frame(rows, cols):
+    """The one-frame list of the rows x cols product frame, one object
+    per shape, as the kernel caches passes by the list's identity."""
+    n = rows * cols
+    row_cells = tuple(sum(1 << (r * cols + c) for c in range(cols))
+                      for r in range(rows))
+    col_cells = tuple(sum(1 << (r * cols + c) for r in range(rows))
+                      for c in range(cols))
+    return (kernel.Frame(n, (row_cells, col_cells, ((1 << n) - 1,))),)

@@ -383,6 +383,21 @@ def _cell_of(cells, i):
     raise ValueError
 
 
+def reference_canonical(parts, n):
+    """The least renaming of a partition tuple over all n! world
+    permutations, each mask remapped bit by bit and each agent's cells
+    sorted: equal exactly for tuples that are renamings of each other."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        remapped = tuple(
+            tuple(sorted(sum(1 << perm[i] for i in range(n) if (c >> i) & 1)
+                         for c in cells))
+            for cells in parts)
+        if best is None or remapped < best:
+            best = remapped
+    return best
+
+
 def reference_frame_gpp(parts, n):
     """Direct permutation-property check on bitmask partitions."""
     a = len(parts)

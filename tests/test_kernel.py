@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -121,6 +122,44 @@ def test_scan_frames_across_passes_and_chunks():
                          4) == (1, 3 | 1 << 12, 0)
     assert _check_frames(syntax.parse("(t & [0]p)"), [two, one], 5) == \
         (0, 3 | 1 << 16, 0)
+
+
+def test_pass_cache_keyed_by_list_and_bounded(monkeypatch):
+    def no_hash(self):
+        raise AssertionError("a frame was hashed")
+
+    built, build = [], kernel._passes
+    monkeypatch.setattr(kernel, "_passes",
+                        lambda *a: built.append(a[0]) or build(*a))
+    monkeypatch.setattr(kernel, "_pass_cache", OrderedDict())
+    monkeypatch.setattr(kernel.Frame, "__hash__", no_hash)
+    ops, args = kernel.compile_formula(syntax.parse("([0]p & ~[1]q)"),
+                                       {"p": 0, "q": 1}, {0: 0, 1: 1})
+    small, large = solver.general_frames(2, 2), solver.general_frames(3, 2)
+
+    def scan(*lists):
+        built.clear()
+        for frames in lists:
+            kernel.scan_frames(ops, args, frames, 2, False)
+        return [id(frames) for frames in built]
+
+    assert scan(small, large, small, large) == [id(small), id(large)]
+    # frames of more valuation bits than one chunk: passes are not kept
+    assert kernel.scan_frames(ops, args, small, 9, False) is not None
+    assert len(kernel._pass_cache) == 2
+    bits = {id(fr): b for fr, _, b in kernel._pass_cache.values()}
+    assert bits[id(small)] < bits[id(large)]
+    # a budget of one list: the least recently used list goes
+    kernel._pass_cache.clear()
+    monkeypatch.setattr(kernel, "_PASS_CACHE_BITS", bits[id(large)])
+    assert scan(small, large, small) == [id(small), id(large), id(small)]
+    assert [id(fr) for fr, _, _ in kernel._pass_cache.values()] == \
+        [id(small)]
+    # a list over the whole budget is not kept
+    kernel._pass_cache.clear()
+    monkeypatch.setattr(kernel, "_PASS_CACHE_BITS", bits[id(small)] - 1)
+    assert scan(small, small) == [id(small), id(small)]
+    assert not kernel._pass_cache
 
 
 def test_unknown_atom_is_false():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -15,7 +16,8 @@ from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
 from stitkit.syntax import length, parse, pretty
 
 from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
-                     reference_frame_gpp, reference_oracle,
+                     reference_canonical, reference_frame_gpp,
+                     reference_oracle,
                      reference_search_group, reference_types)
 
 CFG2 = SolverConfig(agent_universe=2)
@@ -134,15 +136,45 @@ def test_gpp_is_rectangularity_per_class():
                                  None) is None
                 assert per_class == reference_frame_gpp(parts, n), parts
                 if per_class:
-                    passing.add(solver._canonical(parts, n))
+                    passing.add(reference_canonical(parts, n))
             frames = general_frames(n, n_agents)
-            keys = [solver._canonical(fr.blocks[:-1], n) for fr in frames]
+            keys = [reference_canonical(fr.blocks[:-1], n) for fr in frames]
             assert sorted(keys) == sorted(passing)
 
 
 def test_frame_counts():
     assert [len(moment_frames(n, 3)) for n in range(1, 5)] == [1, 4, 7, 16]
     assert [len(general_frames(n, 3)) for n in range(1, 5)] == [1, 5, 12, 38]
+    assert (len(moment_frames(5, 2)), len(general_frames(5, 2))) == (14, 54)
+
+
+def test_frame_lists_digest():
+    # the lists, representatives and order included, as tests/digests.py
+    # hashes them; the value is that of the n!-permutation canonical form
+    # that the enumeration used before it marked renamings
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        for k in range(4):
+            for frames in (moment_frames(n, k), general_frames(n, k)):
+                h.update(f"{frames!r}\n".encode())
+    assert h.hexdigest() == ("34e14453ec4e13b2e2e6a12e5f4194cf"
+                             "3226d6e1f480bd2cac547559ae6d90bf")
+
+
+def test_oracle_memory_over_one_chunk():
+    # five atoms at four worlds need more valuation bits than one kernel
+    # chunk; the packed passes of that list were all built, then kept for
+    # good (19.9 MB traced after the call, 20.6 MB at the peak)
+    f = parse("([0]p & [1]q & [2]r & ~(p & q & r & s & t) & (p&~p))")
+    for n in range(1, 5):
+        general_frames(n, 3)
+    tracemalloc.start()
+    try:
+        assert oracle(f, 4, CFG3).verdict == "UNSAT"
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4e6 and peak < 8e6, (held, peak)
 
 
 def test_oracle_guards():
