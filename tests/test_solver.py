@@ -150,8 +150,7 @@ def test_frame_counts():
 
 def test_frame_lists_digest():
     # the lists, representatives and order included, as tests/digests.py
-    # hashes them; the value is that of the n!-permutation canonical form
-    # that the enumeration used before it marked renamings
+    # hashes them: the first tuple of each renaming class in product order
     h = hashlib.sha256()
     for n in range(1, 5):
         for k in range(4):
@@ -163,8 +162,8 @@ def test_frame_lists_digest():
 
 def test_oracle_memory_over_one_chunk():
     # five atoms at four worlds need more valuation bits than one kernel
-    # chunk; the packed passes of that list were all built, then kept for
-    # good (19.9 MB traced after the call, 20.6 MB at the peak)
+    # chunk, so the scan packs one frame at a time and keeps none; all
+    # the packed passes of that list take about 20 MB
     f = parse("([0]p & [1]q & [2]r & ~(p & q & r & s & t) & (p&~p))")
     for n in range(1, 5):
         general_frames(n, 3)
