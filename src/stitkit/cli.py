@@ -87,10 +87,8 @@ def cmd_check(args):
 
 def cmd_sat(args):
     f = syntax.parse(args.formula)
-    cfg = SolverConfig(agent_universe=args.agents)
-    if args.agents == 1 and len(syntax.agents(f)) <= 1:
-        return _report_verdict(args, solver.sat_single_agent(f, cfg))
-    return _report_verdict(args, solver.sat(f, cfg))
+    return _report_verdict(
+        args, solver.sat(f, SolverConfig(agent_universe=args.agents)))
 
 
 def cmd_valid(args):

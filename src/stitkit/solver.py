@@ -15,6 +15,9 @@ engine enumerates candidate collections grouped by settledness profile
 and checks the closure conditions directly.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
+Over a universe of one agent, the witness keeps only the types that the
+closure conditions need, read from their bits and body columns, which
+keeps it within length(f)**2 worlds (the single-agent small model).
 
 A type is stored as its leaf assignment, one bit per leaf (atoms, [i]-
 and []-subformulas), and settledness and agent profiles are masks of
@@ -52,6 +55,8 @@ ENGINE_MAX_COMBOS = 1 << 22
 # for _types: digits as the bytes 0 and 1, and chunk offsets made once
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 _OFFSETS = tuple(range(1 << kernel._COLUMN_CHUNK_BITS))
+# for _one_agent_worlds: a column's digits negated
+_FLIP = str.maketrans("01", "10")
 
 
 class InconclusiveError(Exception):
@@ -197,13 +202,20 @@ def sat(f, cfg=None):
                             box_negs, root_mask, stats)
         if hit is not None:
             u_set, t_sat = hit
-            model, world = _build_witness(u_set, t_sat, leaves, agents,
-                                          amask, cfg)
+            keep = range(len(u_set))
+            if cfg.agent_universe == 1:
+                keep = _one_agent_worlds(u_set, t_sat, cand, span, box_negs,
+                                         pairs.get(0, ()), amask.get(0, 0))
+            model, world = _build_witness(u_set, t_sat, keep, leaves,
+                                          agents, amask, cfg)
             if mc(model, world, f) is not True:
                 raise AssertionError("witness failed re-check")
             if len(model.worlds) > bound:
                 raise AssertionError("witness exceeds the 2^length bound")
             stats["witness_worlds"] = len(model.worlds)
+            if cfg.agent_universe == 1:
+                q = stats["quadratic_bound"] = syntax.length(f) ** 2
+                stats["quadratic_ok"] = len(model.worlds) <= q
             return SatResult("SAT", (model, world), stats)
     return SatResult("UNSAT", None, stats)
 
@@ -254,81 +266,55 @@ def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
     return None
 
 
-def _build_witness(u_set, t_sat, leaves, agents, amask, cfg):
-    names = [f"w{k}" for k in range(len(u_set))]
+def _one_agent_worlds(u_set, t_sat, cand, span, box_negs, cstits, m):
+    """The indices into u_set of the worlds a one-agent witness needs,
+    ascending: t_sat's, the first refuter of each false [], and, in the
+    cell of each of those, the refuter of each false [0] whose name w{k}
+    sorts least.  cstits holds the (leaf bit, body column) of the [0]
+    leaves and m is their mask.  That keeps the witness within
+    length(f)**2 worlds, the small model of the single-agent case."""
+    members = set(u_set)
+    at = [span.start + j for j, r in enumerate(cand) if r in members]
+    named = sorted(range(len(u_set)), key=str)
+    by_name = [at[k] for k in named]
+
+    def refuters(b, rows):  # bit i: the type at row rows[i] has b false
+        return int("".join(map(b.__getitem__, rows))[::-1].translate(_FLIP),
+                   2)
+
+    def first(z):
+        return (z & -z).bit_length() - 1
+    keep = {u_set.index(t_sat)}
+    keep.update(first(refuters(b, at)) for b in box_negs)
+    cells = {}  # per agent profile, its types as bits in name order
+    for i, k in enumerate(named):
+        cells[u_set[k] & m] = cells.get(u_set[k] & m, 0) | 1 << i
+    keep.update(named[first(cells[u_set[k] & m] & refuters(b, by_name))]
+                for k in list(keep) for n, b in cstits if not u_set[k] & n)
+    return sorted(keep)
+
+
+def _build_witness(u_set, t_sat, keep, leaves, agents, amask, cfg):
+    """The model over the types u_set[k], k in keep, as worlds w{k}, and
+    the world of t_sat."""
+    worlds = [(u_set[k], f"w{k}") for k in keep]
     partitions = {}
     for a in agents:
         cells = {}
-        for r, w in zip(u_set, names):
+        for r, w in worlds:
             cells.setdefault(r & amask[a], set()).add(w)
         partitions[a] = tuple(frozenset(c) for c in cells.values())
-    valuation = {s.name: frozenset(w for r, w in zip(u_set, names)
-                                   if r >> k & 1)
+    valuation = {s.name: frozenset(w for r, w in worlds if r >> k & 1)
                  for k, (s, _) in enumerate(leaves) if isinstance(s, Atom)}
-    model = MomentModel(tuple(names), partitions, valuation,
+    model = MomentModel(tuple(w for _, w in worlds), partitions, valuation,
                         cfg.agent_universe)
-    return model, names[u_set.index(t_sat)]
+    return model, f"w{u_set.index(t_sat)}"
 
 
 def valid(f, cfg=None):
     """True iff the negation is unsatisfiable."""
     cfg = cfg or SolverConfig()
     return sat(Not(f), cfg).verdict == "UNSAT"
-
-
-def sat_single_agent(f, cfg=None):
-    """Single-agent decision with a quadratic witness bound.
-
-    The engine result is pruned down to the witnesses the closure
-    conditions actually need: one world making f true, one refuting world
-    per false settledness formula, and per surviving choice cell one
-    refuting world for each false agentive formula.  That keeps the
-    witness within length(f)**2 worlds.
-    """
-    cfg = cfg or SolverConfig(agent_universe=1)
-    if cfg.agent_universe != 1:
-        raise ValueError("sat_single_agent requires agent_universe=1")
-    if len(syntax.agents(f)) > 1:
-        raise ValueError("formula uses more than one agent")
-    res = sat(f, cfg)
-    if res.verdict != "SAT":
-        return res
-    model, world = res.witness
-    model, world = _prune_single_agent(model, world, f)
-    if mc(model, world, f) is not True:
-        raise AssertionError("pruned witness failed re-check")
-    bound = syntax.length(f) ** 2
-    res.stats["witness_worlds"] = len(model.worlds)
-    res.stats["quadratic_bound"] = bound
-    res.stats["quadratic_ok"] = len(model.worlds) <= bound
-    return SatResult("SAT", (model, world), res.stats)
-
-
-def _prune_single_agent(model, world, f):
-    g = syntax.expand_dstit(f)
-    sf = syntax.subformulas(g)
-    agents = sorted(syntax.agents(g))
-    keep = {world}
-    # refute every settledness formula that is false somewhere
-    for s in sf:
-        if isinstance(s, Box) and not mc(model, world, s):
-            keep.add(next(w for w in model.worlds
-                          if not mc(model, w, s.sub)))
-    # within each touched cell, refute every false agentive formula
-    for a in agents:
-        for w in list(keep):
-            cell = model.cell(a, w)
-            for s in sf:
-                if isinstance(s, Cstit) and s.agent == a \
-                        and not mc(model, w, s):
-                    keep.add(next(u for u in sorted(cell)
-                                  if not mc(model, u, s.sub)))
-    order = [w for w in model.worlds if w in keep]
-    partitions = {a: tuple(c & keep for c in cells if c & keep)
-                  for a, cells in model.relations.items()}
-    valuation = {p: ws & keep for p, ws in model.valuation.items()}
-    return MomentModel(tuple(order), partitions, valuation,
-                       model.agent_universe), world
 
 
 # -- frame enumeration for the oracle --------------------------------------

@@ -21,9 +21,12 @@ result, in input order; the script runs itself under PYTHONHASHSEED=0.
              (seed 1 order, agent_universe=2)
   sat-hard3  the same on the 200 hard3 formulas (corpus order,
              agent_universe=3)
+  sat-single the same on pretty(f) of the 8,962 criterion-9 formulas
+             (helpers.exhaustive_formulas(10, agents=(0,)),
+             agent_universe=1)
 
 Pytest does not collect this file (its name does not start with
-test_).  All seven digests take about 26 s of CPU on a 2-vCPU virtual
+test_).  All eight digests take about 28 s of CPU on a 2-vCPU virtual
 machine.
 """
 
@@ -34,6 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from helpers import exhaustive_formulas  # noqa: E402
 from perfbench import inputs, workloads  # noqa: E402
 from stitkit import axioms, kripke, solver, syntax  # noqa: E402
 
@@ -93,9 +97,14 @@ def sat_hard3():
     return _sat(inputs.hard3_corpus(), 3)
 
 
+def sat_single():
+    return _sat((syntax.pretty(f)
+                 for f in exhaustive_formulas(10, agents=(0,))), 1)
+
+
 DIGESTS = {"frames": frames, "oracle": oracle, "product": product,
            "audit": audit, "replay": replay, "sat-decide": sat_decide,
-           "sat-hard3": sat_hard3}
+           "sat-hard3": sat_hard3, "sat-single": sat_single}
 
 
 def main(names):

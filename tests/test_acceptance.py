@@ -240,7 +240,7 @@ def test_criterion_9_single_agent_quadratic_bound(capsys):
     for f in exhaustive_formulas(10, agents=(0,)):
         total += 1
         want = solver.oracle(f, solver.ORACLE_MAX_WORLDS, CFG1).verdict
-        res = solver.sat_single_agent(f, CFG1)
+        res = solver.sat(f, CFG1)
         if want == "SAT":
             if res.verdict != "SAT":
                 findings += 1

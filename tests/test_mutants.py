@@ -8,6 +8,13 @@ the criterion-4 corpus through ``sat`` on the copy, against
 copy must pass.  The mutants of ``solver``'s type search are caught on
 the ``sat`` side, those of the kernel and of ``first_hit`` on the brute
 force side.
+
+A one-agent slice checks the witness selection of universe 1: every 40th
+criterion-9 formula, and one formula whose [0] refuter must come from
+its own cell, against ``oracle(f, 4)`` with the ``length(f)**2`` world
+bound; and a disjunction of 14 atoms, whose 2**14 types exceed that
+bound, with the re-check and the bound only (its 56 valuation bits at 4
+worlds are beyond the oracle's budget).
 """
 
 import os
@@ -44,6 +51,15 @@ MUTANTS = {
     "column_at_wrong_positions": (
         "solver.py", "col = {b: int(b[span][::-1], 2)",
         "col = {b: int(b[:len(cand)][::-1], 2)"),
+    # the one-agent witness selection of sat
+    "single_agent_no_box_refuters": (
+        "solver.py", "refuters(b, at)) for b in box_negs",
+        "refuters(b, at)) for b in ()"),
+    "single_agent_cstit_refuter_outside_cell": (
+        "solver.py", "cells[u_set[k] & m] & refuters(b, by_name)",
+        "refuters(b, by_name)"),
+    "single_agent_keeps_every_world": ("solver.py", "return sorted(keep)",
+                                       "return range(len(u_set))"),
     "allblock_keeps_guard_bits": ("kernel.py", "z - (z >> n)", "z"),
     "first_hit_agents_reversed": (
         "solver.py", "{a: k for k, a in enumerate(agent_order)}",
@@ -58,14 +74,23 @@ from helpers import exhaustive_formulas, random_corpus
 from stitkit import solver, syntax
 from stitkit.kripke import mc
 
-cfg = solver.SolverConfig(agent_universe=2)
+cfg1 = solver.SolverConfig(agent_universe=1)
+cfg2 = solver.SolverConfig(agent_universe=2)
 corpus = list(exhaustive_formulas(12))[::40] + [
     f for f in random_corpus(40, 400, 16) if len(syntax.agents(f)) == 2]
+# the last one needs a ~p world in the cell of p: the first ~p type lies
+# in the [0]q-false cell, which the <> keeps
+single = list(exhaustive_formulas(10, agents=(0,)))[::40] + [
+    syntax.parse("(p & ~[0]p & [0]q & <>~[0]q)")]
+disjunction = syntax.parse("(" + " | ".join(f"p{i}" for i in range(14)) + ")")
 checked = 0
-for f in corpus:
+
+
+def check(f, cfg, bound, want=None):
+    global checked
     try:
         res = solver.sat(f, cfg)
-        want = solver.oracle(f, 4, cfg).verdict
+        want = want or solver.oracle(f, 4, cfg).verdict
     except AssertionError as e:  # the witness re-checks of sat and oracle
         print(e, syntax.pretty(f))
         sys.exit(3)
@@ -74,11 +99,17 @@ for f in corpus:
         sys.exit(3)
     if res.verdict == "SAT":
         model, world = res.witness
-        if (mc(model, world, f) is not True
-                or len(model.worlds) > 2 ** syntax.length(f)):
+        if mc(model, world, f) is not True or len(model.worlds) > bound:
             print("witness", syntax.pretty(f))
             sys.exit(3)
     checked += 1
+
+
+for f in corpus:
+    check(f, cfg2, 2 ** syntax.length(f))
+for f in single:
+    check(f, cfg1, syntax.length(f) ** 2)
+check(disjunction, cfg1, syntax.length(disjunction) ** 2, "SAT")
 print(checked)
 """
 
@@ -101,7 +132,7 @@ def _run(tmp_path, name=None):
 def test_unmutated_copy_passes(tmp_path):
     out = _run(tmp_path)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) == 2367 + 82
+    assert int(out.stdout) == 2367 + 82 + 226 + 1
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

@@ -11,8 +11,7 @@ import pytest
 from stitkit import kernel, kripke, solver, syntax
 from stitkit.kripke import mc
 from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
-                            moment_frames, oracle, product_sat, sat,
-                            sat_single_agent, valid)
+                            moment_frames, oracle, product_sat, sat, valid)
 from stitkit.syntax import length, parse, pretty
 
 from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
@@ -215,23 +214,35 @@ def test_agent_universe_guard():
 def test_single_agent():
     cfg1 = SolverConfig(agent_universe=1)
     f = parse("({0}p & <>~[0]p)")
-    res = sat_single_agent(f, cfg1)
+    res = sat(f, cfg1)
     assert res.verdict == "SAT"
     model, world = res.witness
     assert mc(model, world, f)
     assert len(model.worlds) <= length(f) ** 2
-    assert sat_single_agent(parse("([0]p & ~[0]p)"), cfg1).verdict == "UNSAT"
+    assert sat(parse("([0]p & ~[0]p)"), cfg1).verdict == "UNSAT"
     # within one choice cell, [0]p leaves no room for a ~p history
-    assert sat_single_agent(parse("({0}p & <0>~p)"), cfg1).verdict == "UNSAT"
+    assert sat(parse("({0}p & <0>~p)"), cfg1).verdict == "UNSAT"
     with pytest.raises(ValueError):
-        sat_single_agent(parse("[1]p"), cfg1)
+        sat(parse("[1]p"), cfg1)
 
 
 def test_single_agent_matches_oracle():
     cfg1 = SolverConfig(agent_universe=1)
     for f in random_corpus(36, 80, 9, agents=(0,)):
         want = oracle(f, 3, cfg1).verdict
-        assert sat_single_agent(f, cfg1).verdict == want, pretty(f)
+        assert sat(f, cfg1).verdict == want, pretty(f)
+
+
+def test_single_agent_witness_within_quadratic_bound():
+    # the 2**14 valuations of 14 atoms are one group of types, more than
+    # length(f)**2; with no modal leaf, one world of f is a witness
+    f = parse("(" + " | ".join(f"p{i}" for i in range(14)) + ")")
+    res = sat(f, SolverConfig(agent_universe=1))
+    assert res.stats["types"] == 16384 > length(f) ** 2 == 8464
+    assert res.stats["witness_worlds"] == 1
+    assert res.stats["quadratic_ok"] is True
+    model, world = res.witness
+    assert mc(model, world, f) is True
 
 
 def test_product_sat_agrees():
