@@ -26,7 +26,7 @@ result, in input order; the script runs itself under PYTHONHASHSEED=0.
              agent_universe=1)
 
 Pytest does not collect this file (its name does not start with
-test_).  All eight digests take about 28 s of CPU on a 2-vCPU virtual
+test_).  All eight digests take about 32 s of CPU on a 2-vCPU virtual
 machine.
 """
 
