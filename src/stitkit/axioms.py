@@ -332,9 +332,9 @@ def check(derivation, system=None):
             elif rule in ("RK", "RKD"):
                 kind = line.args[0]
                 if kind == "box":
-                    if system == "GPERM-SYS":
-                        return fail(line, "settledness monotony is not "
-                                          "available in GPERM-SYS")
+                    if "box" not in spec["nec"]:
+                        return fail(line, f"settledness monotony is not "
+                                          f"available in {system}")
                     prev = cited(line.args[1])
                     wrap = Box if rule == "RK" else Diamond
                 else:

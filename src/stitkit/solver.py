@@ -319,35 +319,18 @@ def valid(f, cfg=None):
 
 # -- frame enumeration for the oracle --------------------------------------
 
-def set_partitions(items):
-    """All partitions of a sequence, cells and cell lists sorted."""
-    items = list(items)
-    if not items:
-        return [()]
-    out = []
-
-    def grow(i, cells):
-        if i == len(items):
-            out.append(tuple(tuple(c) for c in cells))
-            return
-        for c in cells:
-            c.append(items[i])
-            grow(i + 1, cells)
-            c.pop()
-        cells.append([items[i]])
-        grow(i + 1, cells)
-        cells.pop()
-
-    grow(1, [[items[0]]])
-    return out
-
-
 @lru_cache(maxsize=None)
 def _mask_partitions(n):
-    out = []
-    for cells in set_partitions(range(n)):
-        out.append(tuple(sum(1 << i for i in c) for c in cells))
-    return tuple(out)
+    """Every partition of the points 0..n-1, each as a tuple of cell
+    masks ordered by their lowest point, in restricted growth string
+    order (Knuth, TAOCP 4A, 7.2.1.5): point i joins each cell of a
+    partition of the points below it in turn, then opens a new cell,
+    and earlier points vary slowest."""
+    parts = [()]
+    for i in range(n):
+        parts = [p[:j] + (c | 1 << i,) + p[j + 1:]
+                 for p in parts for j, c in enumerate(p + (0,))]
+    return tuple(parts)
 
 
 @lru_cache(maxsize=None)
@@ -372,9 +355,12 @@ def _renamings(n):
 
 @lru_cache(maxsize=None)
 def _frames(n, n_agents):
-    """Partition tuples with the permutation property, deduplicated up
-    to world renaming: (one-class frames, every frame), the one-class
-    frames first in both and each part in itertools.product order.
+    """Frames of n worlds with the permutation property, deduplicated
+    up to world renaming: (one-class frames, every frame), the one-class
+    frames first in both.  A frame's blocks are one partition of
+    _mask_partitions(n) per agent, then the settledness classes as masks,
+    ascending.  The walk is itertools.product over the partitions'
+    indices, one per agent, and each part of the result is in its order.
 
     A tuple has the property exactly when no settledness class has an
     unmet choice of cells (see the kripke module).  The classes are the
@@ -388,7 +374,9 @@ def _frames(n, n_agents):
     built (orderly generation: Read 1978; McKay 1998)."""
     full = (1 << n) - 1
     parts_of = _mask_partitions(n)
-    points = set_partitions(range(n))  # parts_of as lists of points
+    # parts_of with each cell as its list of points, for components
+    points = [[[i for i in range(n) if c >> i & 1] for c in cells]
+              for cells in parts_of]
     size = len(parts_of)
     # per renaming and agent k: each partition's image, times agent k's
     # place value in a walk position

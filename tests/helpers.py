@@ -490,6 +490,36 @@ def reference_pl_consequence(premises, conclusion, max_letters=16):
     return True
 
 
+# -- shared inputs of the derivation and translation checks
+
+FIXTURES = ["aia1_warmup.drv", "aia2_induction.drv", "aia3_induction.drv",
+            "s5box_from_gperm.drv", "inclbox_from_gperm.drv",
+            "aaia_from_gperm.drv"]
+
+_DRV_LINE = re.compile(r"^(\d+)\s*:\s*(.*?)\s*;\s*(.*)$")
+
+
+def line_negations(text):
+    """Criterion 6's single-line mutations of a derivation: the formula
+    of each numbered line negated, one line at a time."""
+    lines = text.splitlines()
+    for i, ln in enumerate(lines):
+        m = _DRV_LINE.match(ln.strip())
+        if m is None:
+            continue
+        mutated = list(lines)
+        mutated[i] = f"{m.group(1)}: ~{m.group(2)} ; {m.group(3)}"
+        yield "\n".join(mutated)
+
+
+# unsatisfiable inputs of tr_prime that put a compound operand of [i] at
+# negative or mixed polarity, where a one-way definition of the wrong
+# direction would make the output satisfiable
+TR_PRIME_POLARITY = ["(~[0]~q & []~q)", "(~[0]~(p & q) & [](~p | ~q))",
+                     "([0](p & q) & ~[0](p & q))", "~[0]~[1]([0]~p & p)",
+                     "([1]~[0]~q & []~q)"]
+
+
 # -- frame-at-a-time references for solver.oracle and axioms._sweep_frames
 
 # satisfiable formulas whose smallest models have 1, 2, 3 and 4 worlds,

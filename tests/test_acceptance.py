@@ -18,7 +18,8 @@ from stitkit.solver import SolverConfig
 from stitkit.syntax import (And, Atom, Box, Cstit, Dstit, Not, length,
                             parse, pretty, subformulas)
 
-from helpers import exhaustive_formulas, random_corpus
+from helpers import (FIXTURES, exhaustive_formulas, line_negations,
+                     random_corpus)
 
 CFG1 = SolverConfig(agent_universe=1)
 CFG2 = SolverConfig(agent_universe=2)
@@ -158,23 +159,6 @@ def test_criterion_5_translation_preservation(capsys):
         "length(tr(f)) <= 1 + 14*length(f) fails"
 
 
-FIXTURES = ["aia1_warmup.drv", "aia2_induction.drv", "aia3_induction.drv",
-            "s5box_from_gperm.drv", "inclbox_from_gperm.drv", "aaia_from_gperm.drv"]
-
-_DRV_LINE = re.compile(r"^(\d+)\s*:\s*(.*?)\s*;\s*(.*)$")
-
-
-def _mutations(text):
-    lines = text.splitlines()
-    for i, ln in enumerate(lines):
-        m = _DRV_LINE.match(ln.strip())
-        if m is None:
-            continue
-        mutated = list(lines)
-        mutated[i] = f"{m.group(1)}: ~{m.group(2)} ; {m.group(3)}"
-        yield "\n".join(mutated)
-
-
 def test_criterion_6_derivation_replays(capsys):
     t0 = time.time()
     root = importlib.resources.files("stitkit") / "fixtures"
@@ -184,7 +168,7 @@ def test_criterion_6_derivation_replays(capsys):
         text = (root / name).read_text()
         if not axioms.check(axioms.parse_derivation(text)).ok:
             bad.append(name)
-        for mutated in _mutations(text):
+        for mutated in line_negations(text):
             if axioms.check(axioms.parse_derivation(mutated)).ok:
                 surviving += 1
     # the warm-up deduction has its seven annotated steps

@@ -11,17 +11,13 @@ from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_entails, canon,
 from stitkit.solver import SolverConfig
 from stitkit.syntax import Atom, Cstit, Not, Or, conjoin, parse, pretty
 
-from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
+from helpers import (FIXTURES, SIZED_SAT, exhaustive_formulas, random_corpus,
                      reference_pl_consequence, reference_sweep_frames)
 
 
 def fixture_text(name):
     root = importlib.resources.files("stitkit") / "fixtures"
     return (root / name).read_text()
-
-
-FIXTURES = ["aia1_warmup.drv", "aia2_induction.drv", "aia3_induction.drv",
-            "s5box_from_gperm.drv", "inclbox_from_gperm.drv", "aaia_from_gperm.drv"]
 
 
 def test_instantiate_core_schemas():
@@ -192,6 +188,25 @@ def test_rk_gating_in_gperm_sys():
     """
     r = check(parse_derivation(text))
     assert not r.ok and r.line == 2
+
+
+@pytest.mark.parametrize("step, message", [
+    ("[]((p & q) -> p) ; NEC box 1",
+     "settledness necessitation is not primitive in GPERM-SYS"),
+    ("([](p & q) -> []p) ; RK box 1",
+     "settledness monotony is not available in GPERM-SYS"),
+    ("(<>(p & q) -> <>p) ; RKD box 1",
+     "settledness monotony is not available in GPERM-SYS"),
+])
+def test_box_rules_follow_the_systems_table(step, message):
+    # the three settledness rules stand or fall with "box" in the nec
+    # entry of SYSTEMS: refused in GPERM-SYS, each with its message, and
+    # accepted in XU
+    def run(system):
+        return check(parse_derivation(
+            f"system {system}\n1: ((p & q) -> p) ; PL\n2: {step}\n"))
+    assert run("GPERM-SYS") == axioms.CheckResult(False, 2, message)
+    assert run("XU").ok
 
 
 def test_ax_must_match_exactly():

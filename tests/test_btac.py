@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 
@@ -7,7 +6,6 @@ import pytest
 from helpers import random_corpus
 from stitkit import kernel
 from stitkit.btac import BtacModel, eval, parse_model, validate_model
-from stitkit.solver import set_partitions
 from stitkit.syntax import parse, pretty
 
 GARDEN = """
@@ -174,14 +172,6 @@ def test_moment_attribute_errors():
             parse_model("btac\n" + text)
     with pytest.raises(ValueError, match="m9, which is not a leaf"):
         BtacModel(("m1",), {"m1": None}, {}, {}, {"m9": 2})
-
-
-def test_set_partitions():
-    parts = list(set_partitions(["a", "b", "c"]))
-    assert len(parts) == 5
-    for p in parts:
-        flat = sorted(itertools.chain.from_iterable(p))
-        assert flat == ["a", "b", "c"]
 
 
 def _random_tree_model(rng):

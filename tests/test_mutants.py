@@ -6,8 +6,9 @@ the criterion-4 corpus through ``sat`` on the copy, against
 ``oracle(f, 4)``, with the ``mc`` re-check of every witness and the
 ``2**length`` world bound, and must catch each mutant; the unmutated
 copy must pass.  The mutants of ``solver``'s type search are caught on
-the ``sat`` side, those of the kernel and of ``first_hit`` on the brute
-force side.
+the ``sat`` side, those of the kernel, of ``first_hit`` and of the
+oracle's partitions on the brute force side, those of ``mc`` and
+``expand_dstit`` by the re-check of ``sat``'s witness.
 
 A one-agent slice checks the witness selection of universe 1: every 40th
 criterion-9 formula, and one formula whose [0] refuter must come from
@@ -15,6 +16,13 @@ its own cell, against ``oracle(f, 4)`` with the ``length(f)**2`` world
 bound; and a disjunction of 14 atoms, whose 2**14 types exceed that
 bound, with the re-check and the bound only (its 56 valuation bits at 4
 worlds are beyond the oracle's budget).
+
+Two more slices check ``axioms`` and ``translate``: the six fixture
+derivations must be accepted and every 8th of criterion 6's single-line
+negations rejected, and ``oracle(f, 2)`` must give ``f`` and its
+translation the same verdict, on the inputs of the two satisfiability
+tests of tests/test_translate.py (through ``tr_prime`` with its polarity
+inputs, and through ``tr``).
 """
 
 import os
@@ -64,20 +72,41 @@ MUTANTS = {
     "first_hit_agents_reversed": (
         "solver.py", "{a: k for k, a in enumerate(agent_order)}",
         "{a: k for k, a in enumerate(agent_order[::-1])}"),
+    # the oracle's partitions never have a third cell; the set is still
+    # closed under renaming, so _renamings finds every image
+    "partitions_at_most_two_cells": (
+        "solver.py", "for p in parts for j, c in enumerate(p + (0,))]",
+        "for p in parts for j, c in enumerate(p + (0,) * (len(p) < 2))]"),
+    "mc_box_over_agent_0_cell": (
+        "kripke.py", "return all(ev(g.sub, v) for v in class_of(u))",
+        "return all(ev(g.sub, v) for v in _agent_cell(m, 0, u, class_of))"),
+    "expand_dstit_without_not_box": (
+        "syntax.py", "new[g] = And(Cstit(g.agent, sub), Not(Box(sub)))",
+        "new[g] = Cstit(g.agent, sub)"),
+    # a negation over a subformula with a collapsed double negation in it
+    "canon_drops_a_negation": (
+        "axioms.py", "return f if sub is f.sub else Not(sub)",
+        "return f if sub is f.sub else sub"),
+    "positive_definition_reversed": (
+        "translate.py", "return Implies(s, body)", "return Implies(body, s)"),
 }
 
 # exit 3 on the first wrong answer, so that any other exception (exit 1)
 # does not count as a catch
 CHECK = """
+import importlib.resources
 import sys
-from helpers import exhaustive_formulas, random_corpus
-from stitkit import solver, syntax
+from helpers import (FIXTURES, TR_PRIME_POLARITY, exhaustive_formulas,
+                     line_negations, random_corpus)
+from stitkit import axioms, solver, syntax, translate
 from stitkit.kripke import mc
 
 cfg1 = solver.SolverConfig(agent_universe=1)
 cfg2 = solver.SolverConfig(agent_universe=2)
+# the last one needs three cells of agent 0, so three worlds
 corpus = list(exhaustive_formulas(12))[::40] + [
-    f for f in random_corpus(40, 400, 16) if len(syntax.agents(f)) == 2]
+    f for f in random_corpus(40, 400, 16) if len(syntax.agents(f)) == 2] + [
+    syntax.parse("((<>[0](p & q) & <>[0](p & ~q)) & <>[0]~p)")]
 # the last one needs a ~p world in the cell of p: the first ~p type lies
 # in the [0]q-false cell, which the <> keeps
 single = list(exhaustive_formulas(10, agents=(0,)))[::40] + [
@@ -110,6 +139,31 @@ for f in corpus:
 for f in single:
     check(f, cfg1, syntax.length(f) ** 2)
 check(disjunction, cfg1, syntax.length(disjunction) ** 2, "SAT")
+
+root = importlib.resources.files("stitkit") / "fixtures"
+for name in FIXTURES:
+    text = (root / name).read_text()
+    for k, doc in enumerate([text, *list(line_negations(text))[::8]]):
+        if axioms.check(axioms.parse_derivation(doc)).ok != (k == 0):
+            print("derivation", name, k)
+            sys.exit(3)
+        checked += 1
+
+cstit_only = random_corpus(45, 25, 8, dstit=False) + [
+    syntax.parse(t) for t in TR_PRIME_POLARITY]
+for tr, inputs in ((translate.tr_prime, cstit_only),
+                   (translate.tr, random_corpus(44, 25, 8, cstit=False))):
+    for f in inputs:
+        try:
+            same = (solver.oracle(f, 2, cfg2).verdict
+                    == solver.oracle(tr(f), 2, cfg2).verdict)
+        except AssertionError as e:  # the oracle's witness re-check
+            print(e, syntax.pretty(f))
+            sys.exit(3)
+        if not same:
+            print("translation", syntax.pretty(f))
+            sys.exit(3)
+        checked += 1
 print(checked)
 """
 
@@ -132,7 +186,7 @@ def _run(tmp_path, name=None):
 def test_unmutated_copy_passes(tmp_path):
     out = _run(tmp_path)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) == 2367 + 82 + 226 + 1
+    assert int(out.stdout) == 2367 + 82 + 1 + 226 + 1 + 6 + 43 + 30 + 25
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

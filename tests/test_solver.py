@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -117,6 +119,25 @@ def test_general_frames_extend_moment_frames():
             assert general[:len(moment)] == moment
             assert all(len(fr.blocks[-1]) > 1
                        for fr in general[len(moment):])
+
+
+def test_mask_partitions():
+    # the Bell numbers; every partition's cells are nonempty, disjoint
+    # (their sum is their union), cover all points and come in the order
+    # of their lowest points
+    assert [len(solver._mask_partitions(n)) for n in range(7)] == \
+        [1, 1, 2, 5, 15, 52, 203]
+    for n in range(7):
+        for cells in solver._mask_partitions(n):
+            assert all(cells)
+            assert sum(cells) == functools.reduce(operator.or_, cells, 0) \
+                == (1 << n) - 1
+            lows = [c & -c for c in cells]
+            assert lows == sorted(lows)
+    # restricted growth string order: earlier points vary slowest
+    assert solver._mask_partitions(3) == (
+        (0b111,), (0b011, 0b100), (0b101, 0b010), (0b001, 0b110),
+        (0b001, 0b010, 0b100))
 
 
 def test_gpp_is_rectangularity_per_class():

@@ -7,8 +7,8 @@ from stitkit.syntax import (And, Atom, Box, Cstit, Dstit, Iff, Implies,
                             length, parse, pretty, subformulas)
 from stitkit.translate import tr, tr_prime
 
-from helpers import (blowup, exhaustive_formulas, random_corpus,
-                     reference_translate)
+from helpers import (TR_PRIME_POLARITY, blowup, exhaustive_formulas,
+                     random_corpus, reference_translate)
 
 CFG2 = SolverConfig(agent_universe=2)
 
@@ -110,14 +110,7 @@ def test_sat_preserved_dstit_to_cstit():
 
 
 def test_sat_preserved_cstit_to_dstit():
-    # the hand-made inputs are unsatisfiable and put a compound operand of
-    # [i] at negative or mixed polarity, where a one-way definition of the
-    # wrong direction would make the output satisfiable
-    polarity = [parse(t) for t in ("(~[0]~q & []~q)",
-                                   "(~[0]~(p & q) & [](~p | ~q))",
-                                   "([0](p & q) & ~[0](p & q))",
-                                   "~[0]~[1]([0]~p & p)",
-                                   "([1]~[0]~q & []~q)")]
+    polarity = [parse(t) for t in TR_PRIME_POLARITY]
     for f in random_corpus(45, 25, 8, dstit=False) + polarity:
         a = solver.oracle(f, 2, CFG2).verdict
         b = solver.oracle(tr_prime(f), 2, CFG2).verdict
