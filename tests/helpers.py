@@ -1,8 +1,8 @@
 """Shared test utilities: formula generators, small-model helpers, the
 recursive reference parser and translation, the scalar references of the
 bit-parallel inner loops, the direct permutation-property checks, the
-frame-at-a-time oracle and sweep, and measures that only the tests
-read."""
+frame-at-a-time oracle and sweep, measures that only the tests read,
+and the shared inputs of the derivation and translation checks."""
 
 import itertools
 import random

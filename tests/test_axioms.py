@@ -180,23 +180,16 @@ def test_nec_gating():
     assert check(parse_derivation(agent)).ok
 
 
-def test_rk_gating_in_gperm_sys():
-    text = """
-    system GPERM-SYS
-    1: ((p & q) -> p) ; PL
-    2: ([](p & q) -> []p) ; RK box 1
-    """
-    r = check(parse_derivation(text))
-    assert not r.ok and r.line == 2
-
-
 @pytest.mark.parametrize("step, message", [
-    ("[]((p & q) -> p) ; NEC box 1",
-     "settledness necessitation is not primitive in GPERM-SYS"),
-    ("([](p & q) -> []p) ; RK box 1",
-     "settledness monotony is not available in GPERM-SYS"),
-    ("(<>(p & q) -> <>p) ; RKD box 1",
-     "settledness monotony is not available in GPERM-SYS"),
+    pytest.param("[]((p & q) -> p) ; NEC box 1",
+                 "settledness necessitation is not primitive in GPERM-SYS",
+                 id="NEC"),
+    pytest.param("([](p & q) -> []p) ; RK box 1",
+                 "settledness monotony is not available in GPERM-SYS",
+                 id="RK"),
+    pytest.param("(<>(p & q) -> <>p) ; RKD box 1",
+                 "settledness monotony is not available in GPERM-SYS",
+                 id="RKD"),
 ])
 def test_box_rules_follow_the_systems_table(step, message):
     # the three settledness rules stand or fall with "box" in the nec
