@@ -17,23 +17,24 @@ source deductions use freely:
   compared modulo double-negation collapse, which the desugaring of dual
   operators introduces pervasively.
 * RK / RKD: monotony of a box (or diamond) from a proven implication,
-  i.e. from A -> B conclude [x]A -> [x]B (or <x>A -> <x>B).  Both are
-  derivable from the K axiom plus necessitation in every system here.
+  i.e. from A -> B conclude [x]A -> [x]B (or <x>A -> <x>B), derivable
+  from the K axiom plus necessitation of the same operator.
 
 Necessitation is system-specific: settledness necessitation in XU and
 AAIA-SYS, agent necessitation in GPERM-SYS (where settledness
-necessitation is derivable but not primitive).
+necessitation, and with it RK and RKD of [], is not primitive).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from . import kernel, solver, syntax
-from .syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff, Implies,
-                     Not, PosCstit, conjoin, parse)
+from .syntax import (And, Box, Cstit, Diamond, Dstit, Iff, Implies, Not,
+                     PosCstit, conjoin, parse)
 
 SCHEMA_NAMES = ("S5Box-K", "S5Box-T", "S5Box-5", "S5i-K", "S5i-T", "S5i-5",
                 "InclBox", "AIA", "AAIA", "GPerm", "DefBox", "Perm01",
@@ -176,9 +177,8 @@ def parse_derivation(text):
         if number != len(lines) + 1:
             raise ValueError(f"line numbered {number} where "
                              f"{len(lines) + 1} was expected")
-        formula = parse(m.group(2))
-        just = m.group(3).split()
-        lines.append(Line(number, formula, just[0], tuple(just[1:])))
+        rule, *args = m.group(3).split()
+        lines.append(Line(number, parse(m.group(2)), rule, tuple(args)))
     if system is None:
         raise ValueError("derivation is missing a 'system' header")
     if system not in SYSTEMS:
@@ -254,9 +254,11 @@ def _as_implication(f):
 
 
 def _parse_ax_args(args):
-    text = " ".join(args)
-    name = args[0] if args else ""
-    rest = text[len(name):]
+    name, *rest = args or ("",)
+    rest = " ".join(rest)
+    extra = _PARAM_RE.sub("", rest).strip()
+    if extra:
+        raise ValueError(f"AX takes key=value parameters, not {extra!r}")
     bindings, agents, k = {}, {}, None
     for key, fml, num in _PARAM_RE.findall(rest):
         if fml:
@@ -268,8 +270,25 @@ def _parse_ax_args(args):
     return name, bindings, agents, k
 
 
+def _read(line, usage):
+    """The arguments of line, if usage names as many after the rule."""
+    if len(line.args) != len(usage.split()) - 1:
+        raise ValueError(f"expected {usage!r}, not "
+                         f"{' '.join((line.rule, *line.args))!r}")
+    return line.args
+
+
+# what a system lacks for (rule, kind) when kind is not in its "nec" entry
+_NEEDS_NEC = {("NEC", "box"): "settledness necessitation is not primitive",
+              ("NEC", "agent"): "agent necessitation is not primitive",
+              ("RK", "box"): "settledness monotony is not available",
+              ("RKD", "box"): "settledness monotony is not available"}
+
+
 def check(derivation, system=None):
-    """Verify every line; returns the first failure if any."""
+    """Check derivation in its system (or in system): the first failure,
+    else an accepted result.  A rule with an argument missing, unreadable
+    or beyond those the README documents fails as malformed."""
     system = system or derivation.system
     if system not in SYSTEMS:
         return CheckResult(False, None, f"unknown system {system!r}")
@@ -280,10 +299,7 @@ def check(derivation, system=None):
         return CheckResult(False, line.number, msg)
 
     def cited(tok):
-        n = int(tok)
-        if n not in proved:
-            raise KeyError(n)
-        return proved[n]
+        return proved[int(tok)]
 
     for line in derivation.lines:
         form = canon(line.formula)
@@ -298,67 +314,50 @@ def check(derivation, system=None):
                     return fail(line, f"axiom mismatch: expected "
                                       f"{syntax.pretty(want)}")
             elif rule == "MP":
-                imp = _as_implication(cited(line.args[0]))
-                minor = cited(line.args[1])
+                major, minor = map(cited, _read(line, "MP i j"))
+                imp = _as_implication(major)
                 if imp is None:
                     return fail(line, "MP major premise is not an "
                                       "implication")
                 if imp[0] != minor or imp[1] != form:
                     return fail(line, "MP shape mismatch")
-            elif rule == "NEC":
-                kind = line.args[0]
-                if kind == "box":
-                    if "box" not in spec["nec"]:
-                        return fail(line, f"settledness necessitation is "
-                                          f"not primitive in {system}")
-                    prev = cited(line.args[1])
-                    if form != Box(prev):
-                        return fail(line, "NEC box shape mismatch")
-                elif kind == "agent":
-                    if "agent" not in spec["nec"]:
-                        return fail(line, f"agent necessitation is not "
-                                          f"primitive in {system}")
-                    a = int(line.args[1])
-                    prev = cited(line.args[2])
-                    if form != Cstit(a, prev):
-                        return fail(line, "NEC agent shape mismatch")
-                else:
-                    return fail(line, f"unknown NEC kind {kind!r}")
             elif rule == "PL":
                 premises = [cited(tok) for tok in line.args]
                 if not _pl_entails(premises, form):
                     return fail(line, "not a propositional consequence "
                                       "of the cited lines")
-            elif rule in ("RK", "RKD"):
-                kind = line.args[0]
+            elif rule in ("NEC", "RK", "RKD"):
+                kind = line.args[0] if line.args else ""
                 if kind == "box":
-                    if "box" not in spec["nec"]:
-                        return fail(line, f"settledness monotony is not "
-                                          f"available in {system}")
-                    prev = cited(line.args[1])
-                    wrap = Box if rule == "RK" else Diamond
+                    _, prev = _read(line, f"{rule} box i")
+                    op = Diamond if rule == "RKD" else Box
+                elif kind == "agent":
+                    _, a, prev = _read(line, f"{rule} agent a i")
+                    op = partial(PosCstit if rule == "RKD" else Cstit, int(a))
                 else:
-                    a = int(line.args[1])
-                    prev = cited(line.args[2])
-                    if rule == "RK":
-                        def wrap(g, a=a):
-                            return Cstit(a, g)
-                    else:
-                        def wrap(g, a=a):
-                            return PosCstit(a, g)
-                imp = _as_implication(prev)
-                if imp is None:
-                    return fail(line, f"{rule} premise is not an "
-                                      f"implication")
-                want = Implies(wrap(imp[0]), wrap(imp[1]))
-                if form != canon(want):
-                    return fail(line, f"{rule} shape mismatch: expected "
-                                      f"{syntax.pretty(canon(want))}")
+                    return fail(line, f"unknown {rule} kind {kind!r}")
+                lacks = _NEEDS_NEC.get((rule, kind))
+                if lacks and kind not in spec["nec"]:
+                    return fail(line, f"{lacks} in {system}")
+                prev = cited(prev)
+                if rule == "NEC":
+                    want = op(prev)
+                else:
+                    imp = _as_implication(prev)
+                    if imp is None:
+                        return fail(line, f"{rule} premise is not an "
+                                          f"implication")
+                    want = canon(Implies(op(imp[0]), op(imp[1])))
+                if form != want:
+                    return fail(line, f"NEC {kind} shape mismatch"
+                                if rule == "NEC" else
+                                f"{rule} shape mismatch: expected "
+                                f"{syntax.pretty(want)}")
             else:
                 return fail(line, f"unknown rule {rule!r}")
         except KeyError as e:
             return fail(line, f"cites unproved line {e.args[0]}")
-        except (IndexError, ValueError) as e:
+        except ValueError as e:
             return fail(line, f"malformed justification: {e}")
         proved[line.number] = form
     return CheckResult(True, None, f"{len(derivation.lines)} lines accepted")

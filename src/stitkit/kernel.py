@@ -74,26 +74,25 @@ class Frame:
 
 
 def compile_formula(f, atom_order, agent_order):
-    """Compile to an indexed program ``(ops, args)``; unknown atoms compile
-    to constant false.
+    """Compile to an indexed program ``(ops, args)``.
 
     One node per distinct subformula, in the order of
     ``syntax.subformulas(f)``, so the root is last.  ``args[i]`` is a pair:
-    ``(slot, 0)`` for ``OP_ATOM`` (slot -1 for an atom missing from
-    ``atom_order``), ``(x, 0)`` for ``OP_NOT``, ``(x, y)`` for ``OP_AND``
-    and ``(x, relation)`` for ``OP_ALLBLOCK``, where ``x`` and ``y`` index
-    earlier nodes.  ``{i}g`` becomes the four nodes ``[i]g``, ``[]g``,
-    ``~[]g`` and their conjunction over the one node of ``g``.
+    ``(slot, 0)`` for ``OP_ATOM``, ``(x, 0)`` for ``OP_NOT``, ``(x, y)``
+    for ``OP_AND`` and ``(x, relation)`` for ``OP_ALLBLOCK``, where ``x``
+    and ``y`` index earlier nodes.  ``{i}g`` becomes the four nodes
+    ``[i]g``, ``[]g``, ``~[]g`` and their conjunction over the one node
+    of ``g``.
 
-    ``atom_order``: atom name -> atom slot; ``agent_order``: agent ->
-    relation index.  The settledness relation index is
-    ``len(agent_order)``.
+    ``atom_order``: atom name -> atom slot, for every atom of ``f``;
+    ``agent_order``: agent -> relation index.  The settledness relation
+    index is ``len(agent_order)``.
     """
     ops, args, at = [], [], {}
     box_rel = len(agent_order)
     for g in subformulas(f):
         if isinstance(g, Atom):
-            op, arg = OP_ATOM, (atom_order.get(g.name, -1), 0)
+            op, arg = OP_ATOM, (atom_order[g.name], 0)
         elif isinstance(g, Not):
             op, arg = OP_NOT, (at[g.sub], 0)
         elif isinstance(g, And):
@@ -122,7 +121,7 @@ def eval_mask(ops, args, frame, atom_masks):
     val = []
     for op, (x, y) in zip(ops, args):
         if op == OP_ATOM:
-            val.append(atom_masks[x] if x >= 0 else 0)
+            val.append(atom_masks[x])
         elif op == OP_NOT:
             val.append(full & ~val[x])
         elif op == OP_AND:
@@ -303,7 +302,7 @@ def _values(ops, args, leaves, full, blocks, low, guard, n):
     push = val.append
     for op, (x, y) in zip(ops, args):
         if op == 0:  # ATOM
-            push(leaves[x] if x >= 0 else 0)
+            push(leaves[x])
         elif op == 1:  # NOT
             push(full ^ val[x])
         elif op == 2:  # AND

@@ -5,7 +5,11 @@ Run from the repository root, on each tree to compare:
     PYTHONPATH=src:tests python tests/digests.py NAME [NAME ...]
 
 With no NAME it prints every digest.  Each digest hashes one text per
-result, in input order; the script runs itself under PYTHONHASHSEED=0.
+result, in input order.  The script runs itself under PYTHONHASHSEED=0,
+since the repr of a frozenset depends on the hash seed; result_text,
+which the sat digests and tests/test_result_digests.py use, does not.
+A change that keeps every result keeps every digest but the effort
+digests of sat, which count the work of the search.
 
   frames     repr of moment_frames(n, k) and general_frames(n, k), one
              line each, for n 1-4 and k 0-3
@@ -17,8 +21,11 @@ result, in input order; the script runs itself under PYTHONHASHSEED=0.
   replay     repr((name, ok, line, message)) of axioms.check on the 334
              replay documents of seed 1
   sat-decide repr((verdict, format_model(model) or None, world or None,
-             sorted(stats.items()))) of sat on the 94,658 decide formulas
-             (seed 1 order, agent_universe=2)
+             [(key, value) ...])) of sat on the 94,658 decide formulas
+             (seed 1 order, agent_universe=2), with the sorted stats
+             items other than the search effort counters (EFFORT);
+             then, as "effort", the digest of repr of the sorted EFFORT
+             items, one per formula
   sat-hard3  the same on the 200 hard3 formulas (corpus order,
              agent_universe=3)
   sat-single the same on pretty(f) of the 8,962 criterion-9 formulas
@@ -44,6 +51,53 @@ from stitkit import axioms, kripke, solver, syntax  # noqa: E402
 
 def _lines(texts):
     return (t + "\n" for t in texts)
+
+
+# the stats of sat that count the search's work, not its result
+EFFORT = ("groups", "combos")
+
+
+def result_text(res, effort=None):
+    """repr of the verdict, the witness model as format_model writes it,
+    the world and the stats items other than EFFORT, none of which
+    depends on the hash seed; the EFFORT items go to effort, a hashlib
+    object, when given."""
+    model, world = res.witness or (None, None)
+    stats = sorted(res.stats.items())
+    if effort is not None:
+        effort.update(repr([kv for kv in stats if kv[0] in EFFORT]).encode())
+    return repr((res.verdict, model and kripke.format_model(model), world,
+                 [kv for kv in stats if kv[0] not in EFFORT]))
+
+
+def sat_results(texts, agent_universe, effort=None):
+    cfg = solver.SolverConfig(agent_universe=agent_universe)
+    return (result_text(solver.sat(syntax.parse(t), cfg), effort)
+            for t in texts)
+
+
+def oracle_results(texts):
+    """result_text of oracle(f, 4) at agent_universe=2."""
+    cfg = solver.SolverConfig(agent_universe=2)
+    return (result_text(solver.oracle(syntax.parse(t), 4, cfg))
+            for t in texts)
+
+
+def replay_results(docs):
+    for name, text, _ in docs:
+        res = axioms.check(axioms.parse_derivation(text))
+        yield repr((name, res.ok, res.line, res.message))
+
+
+def single_texts():
+    return [syntax.pretty(f) for f in exhaustive_formulas(10, agents=(0,))]
+
+
+def sha256(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
 
 
 def frames():
@@ -74,32 +128,19 @@ def audit():
 
 
 def replay():
-    _, docs = workloads.Replay().inputs(1)
-    for name, text, _ in docs:
-        res = axioms.check(axioms.parse_derivation(text))
-        yield repr((name, res.ok, res.line, res.message))
+    return replay_results(workloads.Replay().inputs(1)[1])
 
 
-def _sat(texts, agent_universe):
-    cfg = solver.SolverConfig(agent_universe=agent_universe)
-    for t in texts:
-        res = solver.sat(syntax.parse(t), cfg)
-        model, world = res.witness or (None, None)
-        yield repr((res.verdict, model and kripke.format_model(model),
-                    world, sorted(res.stats.items())))
+def sat_decide(effort=None):
+    return sat_results(inputs.decide_inputs(1), 2, effort)
 
 
-def sat_decide():
-    return _sat(inputs.decide_inputs(1), 2)
+def sat_hard3(effort=None):
+    return sat_results(inputs.hard3_corpus(), 3, effort)
 
 
-def sat_hard3():
-    return _sat(inputs.hard3_corpus(), 3)
-
-
-def sat_single():
-    return _sat((syntax.pretty(f)
-                 for f in exhaustive_formulas(10, agents=(0,))), 1)
+def sat_single(effort=None):
+    return sat_results(single_texts(), 1, effort)
 
 
 DIGESTS = {"frames": frames, "oracle": oracle, "product": product,
@@ -116,10 +157,12 @@ def main(names):
         sys.exit(f"unknown digest {unknown[0]!r}; choose from "
                  f"{', '.join(DIGESTS)}")
     for name in names or DIGESTS:
-        h = hashlib.sha256()
-        for text in DIGESTS[name]():
-            h.update(text.encode())
-        print(name, h.hexdigest(), flush=True)
+        if name.startswith("sat-"):
+            effort = hashlib.sha256()
+            print(name, sha256(DIGESTS[name](effort)), "effort",
+                  effort.hexdigest(), flush=True)
+        else:
+            print(name, sha256(DIGESTS[name]()), flush=True)
 
 
 if __name__ == "__main__":

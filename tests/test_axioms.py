@@ -202,6 +202,61 @@ def test_box_rules_follow_the_systems_table(step, message):
     assert run("XU").ok
 
 
+MODAL_STEPS = """system XU
+1: (p | ~p) ; PL
+2: [](p | ~p) ; NEC box 1
+3: ([](p | ~p) -> [0](p | ~p)) ; AX InclBox i=0 phi="(p | ~p)"
+4: [0](p | ~p) ; MP 3 2
+5: ((p & q) -> p) ; PL
+6: ([](p & q) -> []p) ; RK box 5
+7: (<>(p & q) -> <>p) ; RKD box 5
+8: ([0](p & q) -> [0]p) ; RK agent 0 5
+9: (<1>(p & q) -> <1>p) ; RKD agent 1 5
+"""
+
+
+def test_well_formed_modal_steps_are_accepted():
+    # NEC box, MP, AX, and RK and RKD of both kinds in XU; NEC agent in
+    # GPERM-SYS, where it is primitive
+    assert check(parse_derivation(MODAL_STEPS)) == axioms.CheckResult(
+        True, None, "9 lines accepted")
+    gperm = ("system GPERM-SYS\n1: (p | ~p) ; PL\n"
+             "2: [1](p | ~p) ; NEC agent 1 1\n")
+    assert check(parse_derivation(gperm)) == axioms.CheckResult(
+        True, None, "2 lines accepted")
+
+
+def _with_justification(number, justification):
+    """MODAL_STEPS with the justification of line number replaced."""
+    lines = MODAL_STEPS.splitlines()
+    formula = lines[number].split(";")[0]
+    lines[number] = f"{formula}; {justification}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("number, justification, message", [
+    (8, "RK agnet 0 5", "unknown RK kind 'agnet'"),
+    (8, "RK 7 0 5", "unknown RK kind '7'"),
+    (8, "RK agent 0 5 junk", "malformed justification: expected "
+     "'RK agent a i', not 'RK agent 0 5 junk'"),
+    (9, "RKD agent 1 5 garbage", "malformed justification: expected "
+     "'RKD agent a i', not 'RKD agent 1 5 garbage'"),
+    (2, "NEC box 1 77", "malformed justification: expected 'NEC box i', "
+     "not 'NEC box 1 77'"),
+    (4, "MP 3 2 1", "malformed justification: expected 'MP i j', not "
+     "'MP 3 2 1'"),
+    (3, 'AX InclBox i=0 phi="(p | ~p)" zzz', "malformed justification: "
+     "AX takes key=value parameters, not 'zzz'"),
+])
+def test_every_argument_is_read(number, justification, message):
+    # a kind the rule does not know, or an argument beyond those the
+    # README documents, fails the line; the same steps read in full are
+    # accepted above
+    text = _with_justification(number, justification)
+    assert check(parse_derivation(text)) == axioms.CheckResult(
+        False, number, message)
+
+
 def test_ax_must_match_exactly():
     text = """
     system XU

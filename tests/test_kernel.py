@@ -78,18 +78,21 @@ def _check_frames(f, frames, n_atoms):
 
 def test_scan_frames_matches_reference():
     # up to 12 valuation bits: several frames per pass (one when the list
-    # has one frame), lists of up to 2**13 valuations in all
+    # has one frame), lists of up to 2**13 valuations in all; formulas
+    # over the first n_atoms atoms
     rng = random.Random(5)
-    corpus = random_corpus(8, 200, 10,
-                           atom_names=("p", "q", "r", "s", "t"))
+    corpora = [random_corpus(8, 200, 10,
+                             atom_names=("p", "q", "r", "s", "t")[:k])
+               for k in range(1, 6)]
     for n in range(1, 5):
-        for n_atoms in range(6):
+        for n_atoms in range(1, 6):
             if n * n_atoms > 12:
                 continue
             for _ in range(4):
                 frames = [random_frame(rng, n, 3) for _ in range(
                     rng.randint(1, max(1, (1 << 13) >> (n * n_atoms))))]
-                _check_frames(rng.choice(corpus), frames, n_atoms)
+                _check_frames(rng.choice(corpora[n_atoms - 1]), frames,
+                              n_atoms)
     assert kernel.scan_frames([], [], (), 2, True) is None
 
 
@@ -162,16 +165,6 @@ def test_pass_cache_keyed_by_list_and_bounded(monkeypatch):
     assert not kernel._pass_cache
 
 
-def test_unknown_atom_is_false():
-    f = syntax.parse("r")
-    frame = kernel.Frame(2, ((3,), (3,), (3,)))
-    ops, args = kernel.compile_formula(f, {}, {0: 0, 1: 1})
-    assert kernel.scan_sat(ops, args, frame, 0) is None
-    g = syntax.parse("~r")
-    ops, args = kernel.compile_formula(g, {}, {0: 0, 1: 1})
-    assert kernel.scan_valid(ops, args, frame, 0) is None
-
-
 def test_decode_valuation():
     # atom a occupies bits [k*n, (k+1)*n)
     v = 0b10_01
@@ -210,7 +203,8 @@ SHARED = ["((p & q) & ~(p & q))", "({0}(p & r) & [1]{0}(p & r))",
 
 
 def test_compile_one_node_per_subformula():
-    atom_order, agent_order = {"p": 0, "q": 1}, {0: 0, 1: 1}
+    atom_order = {"p": 0, "q": 1, "r": 2, "s": 3, "t": 4}
+    agent_order = {0: 0, 1: 1}
     for text in SHARED:
         f = syntax.parse(text)
         ops, args = kernel.compile_formula(f, atom_order, agent_order)
@@ -226,7 +220,7 @@ def test_compile_one_node_per_subformula():
                 k += 3
             elif isinstance(g, Atom):
                 assert (ops[k], args[k]) == (
-                    kernel.OP_ATOM, (atom_order.get(g.name, -1), 0))
+                    kernel.OP_ATOM, (atom_order[g.name], 0))
             elif isinstance(g, Not):
                 assert (ops[k], args[k]) == (kernel.OP_NOT, (at[g.sub], 0))
             elif isinstance(g, And):
@@ -266,7 +260,7 @@ def test_compiled_program_matches_model_checker():
     rng = random.Random(11)
     frames = [fr for n in (1, 2, 3) for fr in solver.general_frames(n, 2)]
     corpus = random_corpus(12, 1000, 16, atom_names=("p", "q", "r"))
-    atom_names = ("p", "q")
+    atom_names = ("p", "q", "r")
     atom_order = {p: k for k, p in enumerate(atom_names)}
     for f in corpus:
         frame = rng.choice(frames)

@@ -87,6 +87,13 @@ MUTANTS = {
     "canon_drops_a_negation": (
         "axioms.py", "return f if sub is f.sub else Not(sub)",
         "return f if sub is f.sub else sub"),
+    # the monotony rules with the wrong operator
+    "rkd_applies_the_box": ("axioms.py",
+                            'op = Diamond if rule == "RKD" else Box',
+                            "op = Box"),
+    "rk_agent_applies_the_dual": (
+        "axioms.py", 'partial(PosCstit if rule == "RKD" else Cstit, int(a))',
+        'partial(PosCstit if rule != "NEC" else Cstit, int(a))'),
     "positive_definition_reversed": (
         "translate.py", "return Implies(s, body)", "return Implies(body, s)"),
 }
