@@ -63,16 +63,20 @@ def instantiate(name, bindings, agents=None, k=None):
 
     ``bindings`` maps slot names (phi, psi, phi0, phi1, ...) to formulas;
     ``agents`` maps agent parameters (i, l, m, n) to indices; ``k`` is
-    the family index for AIA/AAIA/GPerm.
+    the family index for AIA/AAIA/GPerm.  A slot, agent or ``k`` that
+    the schema does not read is refused.
     """
     agents = agents or {}
+    read = set()
 
     def slot(s):
+        read.add(s)
         if s not in bindings:
             raise ValueError(f"schema {name} needs slot {s}")
         return bindings[s]
 
     def agent(s):
+        read.add(s)
         if s not in agents:
             raise ValueError(f"schema {name} needs agent {s}")
         if agents[s] < 0:
@@ -80,6 +84,22 @@ def instantiate(name, bindings, agents=None, k=None):
                              f"negative")
         return agents[s]
 
+    f = _schema(name, slot, agent, k)
+    unread = sorted({*bindings, *agents} - read)
+    if k is not None and name not in _FAMILIES:
+        unread.append("k")
+    if unread:
+        raise ValueError(f"schema {name} does not read {', '.join(unread)}")
+    return f
+
+
+# the schemas indexed by k
+_FAMILIES = ("AIA", "AAIA", "GPerm")
+
+
+def _schema(name, slot, agent, k):
+    """The formula of schema name, reading its slots and agents through
+    slot and agent (see instantiate)."""
     if name == "S5Box-K":
         return Implies(Box(Implies(slot("phi"), slot("psi"))),
                        Implies(Box(slot("phi")), Box(slot("psi"))))
@@ -156,8 +176,16 @@ class CheckResult:
     message: str = ""
 
 
-_LINE_RE = re.compile(r"^(\d+)\s*:\s*(.*?)\s*;\s*(.+)$")
-_PARAM_RE = re.compile(r'(\w+)\s*=\s*(?:"([^"]*)"|(\d+))')
+_LINE_RE = re.compile(r"^([0-9]+)\s*:\s*(.*?)\s*;\s*(.+)$")
+_PARAM_RE = re.compile(r'(\w+)\s*=\s*(?:"([^"]*)"|([0-9]+))')
+
+
+def _number(tok, noun):
+    """tok as an int, if it is ASCII digits only (int() also takes a
+    sign, underscores, spaces and other scripts' digits)."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"{noun} {tok!r} is not a number")
+    return int(tok)
 
 
 def parse_derivation(text):
@@ -259,8 +287,11 @@ def _parse_ax_args(args):
     extra = _PARAM_RE.sub("", rest).strip()
     if extra:
         raise ValueError(f"AX takes key=value parameters, not {extra!r}")
-    bindings, agents, k = {}, {}, None
+    bindings, agents, k, seen = {}, {}, None, set()
     for key, fml, num in _PARAM_RE.findall(rest):
+        if key in seen:
+            raise ValueError(f"AX parameter {key} given twice")
+        seen.add(key)
         if fml:
             bindings[key] = parse(fml)
         elif key == "k":
@@ -299,7 +330,7 @@ def check(derivation, system=None):
         return CheckResult(False, line.number, msg)
 
     def cited(tok):
-        return proved[int(tok)]
+        return proved[_number(tok, "line")]
 
     for line in derivation.lines:
         form = canon(line.formula)
@@ -333,7 +364,8 @@ def check(derivation, system=None):
                     op = Diamond if rule == "RKD" else Box
                 elif kind == "agent":
                     _, a, prev = _read(line, f"{rule} agent a i")
-                    op = partial(PosCstit if rule == "RKD" else Cstit, int(a))
+                    a = _number(a, "agent")
+                    op = partial(PosCstit if rule == "RKD" else Cstit, a)
                 else:
                     return fail(line, f"unknown {rule} kind {kind!r}")
                 lacks = _NEEDS_NEC.get((rule, kind))

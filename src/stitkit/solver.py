@@ -12,7 +12,13 @@ input that respects the boolean connectives and the T axiom for every
 modal operator.  Worlds of any satisfying model induce types, and a
 satisfying model can be rebuilt from the right collection of types; the
 engine enumerates candidate collections grouped by settledness profile
-and checks the closure conditions directly.  Every SAT answer carries a
+and checks the closure conditions directly.  Within a group it first
+eliminates agent profiles to a greatest fixpoint (elimination of
+Hintikka sets, Pratt 1979), which decides every condition but
+rectangularity; only that one branches, over subsets of the kept
+profiles.  So a group where one agent occurs takes one test (the
+single-agent case is in NP), and ENGINE_MAX_COMBOS bounds the subset
+space of two or more agents only.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
 Over a universe of one agent, the witness keeps only the types that the
@@ -26,9 +32,9 @@ the subformulas as a boolean program through kernel.columns, so a
 connective or a T constraint is one big-int operation per chunk of leaf
 assignments, and keeps the columns of the input and of the modal bodies
 as strings over the types.  _search_group reads those as bitsets over a
-group's candidates, so a combination of profile subsets costs a few ANDs
-and ORs.  The scalar loops they replaced are kept in the tests as
-references.
+group's candidates, so an elimination pass or a combination of profile
+subsets costs a few ANDs and ORs per profile.  The scalar loops they
+replaced are kept in the tests as references.
 
 The oracle, the product check and the schema sweeps of axioms are
 unrelated brute forces, all run by first_hit: one kernel scan of every
@@ -176,7 +182,7 @@ def sat(f, cfg=None):
         return bin(r | top)[:2:-1]
     bound = 2 ** syntax.length(f)
     stats = {"engine": "types", "types": len(rows), "groups": 0,
-             "combos": 0, "bound": bound}
+             "combos": 0, "pruned": 0, "bound": bound}
 
     # the [] leaves are the top bits, so a group is a run of rows; a
     # column over a group has candidate j at bit j
@@ -194,7 +200,8 @@ def sat(f, cfg=None):
         box_negs = [b for n, b in box_pairs if not bp & n]
         profiles = {a: sorted({r & amask[a] for r in cand}, key=order)
                     for a in agents}
-        if 1 << sum(map(len, profiles.values())) > ENGINE_MAX_COMBOS:
+        if (len(agents) > 1 and 1 << sum(map(len, profiles.values()))
+                > ENGINE_MAX_COMBOS):
             stats["cap"] = "combos"
             raise InconclusiveError(
                 "profile subset space exceeds the engine cap", stats)
@@ -228,41 +235,73 @@ def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
     The candidates cand are the rows span of the columns, sets of them are
     bitsets in that order, and root_mask holds those where f holds.
     pairs[a] holds the (leaf bit, body column) of a's [a]-subformulas.
-    Combinations come in itertools.product order over _subsets_desc.
+
+    First the profiles are eliminated to a greatest fixpoint (Pratt
+    1979): u holds the candidates whose profiles are all kept, and a kept
+    profile is dropped while its cell inside u is empty or has no refuter
+    of one of its false [a] leaves.  A combination that closes keeps all
+    of these inside its own u, which lies in the fixpoint's, so it uses
+    kept profiles only, and the group fails with no combination walked
+    when f or a false [] has no witness in the final u.  The walk is
+    itertools.product over _subsets_desc of the kept profiles, which keeps
+    the order of the full walk; its first combination is the fixpoint
+    itself, where only rectangularity is left to test.  Below two agents
+    that test always passes, so such a group takes that one combination.
     """
     everyone = (1 << len(cand)) - 1
-    col_pairs = [pairs[a] for a in agents]
     col = {b: int(b[span][::-1], 2) for b in {*box_negs, *(
-        b for prs in col_pairs for _, b in prs)}}
-    # per agent: (subset, its profile masks, their union), largest first;
-    # one agent's profile masks are disjoint, so their sum is their union
-    choices = []
+        b for a in agents for _, b in pairs[a])}}
+    # per agent, its kept profiles in order: each one's cell, then the
+    # refuters in the cell of each of its false [a] leaves
+    kept = []
     for a in agents:
-        masks, m = dict.fromkeys(profiles[a], 0), amask[a]
+        masks, m, prs = dict.fromkeys(profiles[a], 0), amask[a], pairs[a]
         for j, r in enumerate(cand):
             masks[r & m] |= 1 << j
-        subsets = [(rs, [masks[r] for r in rs])
-                   for rs in _subsets_desc(profiles[a])]
-        choices.append([(rs, ms, sum(ms)) for rs, ms in subsets])
-    for combo in itertools.product(*choices):
+        kept.append({r: [c, *(c & ~col[b] for n, b in prs if not r & n)]
+                     for r, c in masks.items()})
+    u, dropped = everyone, True
+    while dropped:
+        dropped = False
+        for cells in kept:
+            for r in [r for r, need in cells.items()
+                      if not all(u & x for x in need)]:
+                # one agent's cells are disjoint, so u loses just this one
+                u &= ~cells.pop(r)[0]
+                dropped = True
+    stats["pruned"] += sum(map(len, profiles.values())) - sum(map(len, kept))
+
+    def witnessed(u):  # f holds in u and every false [] is refuted there
+        return u & root_mask and all(u & ~col[b] for b in box_negs)
+
+    def found(u):
+        hit = u & root_mask
+        return ([r for j, r in enumerate(cand) if u >> j & 1],
+                cand[(hit & -hit).bit_length() - 1])
+
+    if not witnessed(u):
+        return None
+    if len(agents) < 2:
+        stats["combos"] += 1
+        return found(u)
+    # per agent: (cells, their union, every set that must meet u) of each
+    # subset of the kept profiles, largest first; one agent's cells are
+    # disjoint, so their sum is their union
+    choices = [[([cells[r][0] for r in rs], sum(cells[r][0] for r in rs),
+                 [x for r in rs for x in cells[r]])
+                for rs in _subsets_desc(cells)] for cells in kept]
+    for k, combo in enumerate(itertools.product(*choices)):
         stats["combos"] += 1
         u = everyone
-        for _, _, union in combo:
+        for _, union, _ in combo:
             u &= union
-        hit = u & root_mask
-        # f holds somewhere, every false [] and every false [a] in a
-        # chosen cell is refuted, and every choice of one profile per
-        # agent is realized; the last test walks a product, so it runs
-        # on the fewest combinations
-        if (hit and all(u & ~col[b] for b in box_negs)
-                and all(u & m & ~col[b]
-                        for (rs, ms, _), prs in zip(combo, col_pairs)
-                        for r, m in zip(rs, ms)
-                        for n, b in prs if not r & n)
-                and next(unmet_choices([ms for _, ms, _ in combo], ~0),
+        # the first combination is the fixpoint; the last test walks a
+        # product, so it runs on the fewest combinations
+        if ((not k or witnessed(u) and all(u & x for _, _, need in combo
+                                           for x in need))
+                and next(unmet_choices([ms for ms, _, _ in combo], ~0),
                          None) is None):
-            u_set = [r for j, r in enumerate(cand) if u >> j & 1]
-            return u_set, cand[(hit & -hit).bit_length() - 1]
+            return found(u)
     return None
 
 

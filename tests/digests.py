@@ -9,7 +9,9 @@ result, in input order.  The script runs itself under PYTHONHASHSEED=0,
 since the repr of a frozenset depends on the hash seed; result_text,
 which the sat digests and tests/test_result_digests.py use, does not.
 A change that keeps every result keeps every digest but the effort
-digests of sat, which count the work of the search.
+digests of sat, which count the work of the search: the groups
+searched, the combinations of profile subsets walked and the profiles
+that the elimination before the walk dropped (EFFORT).
 
   frames     repr of moment_frames(n, k) and general_frames(n, k), one
              line each, for n 1-4 and k 0-3
@@ -54,7 +56,7 @@ def _lines(texts):
 
 
 # the stats of sat that count the search's work, not its result
-EFFORT = ("groups", "combos")
+EFFORT = ("groups", "combos", "pruned")
 
 
 def result_text(res, effort=None):

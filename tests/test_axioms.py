@@ -57,6 +57,13 @@ def test_instantiate_errors():
         instantiate("AIA", {"phi0": parse("p")}, k=1)  # missing phi1
     with pytest.raises(ValueError):
         instantiate("S5i-T", {"phi": parse("p")}, {"i": -1})
+    # a parameter that the schema does not read
+    with pytest.raises(ValueError, match="does not read psi"):
+        instantiate("S5Box-T", {"phi": parse("p"), "psi": parse("q")})
+    with pytest.raises(ValueError, match="does not read i"):
+        instantiate("S5Box-T", {"phi": parse("p")}, {"i": 0})
+    with pytest.raises(ValueError, match="does not read k"):
+        instantiate("S5i-T", {"phi": parse("p")}, {"i": 0}, k=1)
 
 
 def test_canon_collapses_double_negation():
@@ -247,6 +254,26 @@ def _with_justification(number, justification):
      "'MP 3 2 1'"),
     (3, 'AX InclBox i=0 phi="(p | ~p)" zzz', "malformed justification: "
      "AX takes key=value parameters, not 'zzz'"),
+    # a line or an agent is ASCII digits only, though int() takes more
+    (4, "MP +3 2", "malformed justification: line '+3' is not a number"),
+    (4, "MP 3 0_2", "malformed justification: line '0_2' is not a number"),
+    (4, "MP 3 \u0662", "malformed justification: line '\u0662' is not a "
+     "number"),
+    (5, "PL \uff11", "malformed justification: line '\uff11' is not a "
+     "number"),
+    (8, "RK agent +0 5", "malformed justification: agent '+0' is not a "
+     "number"),
+    (3, 'AX InclBox i=\u0660 phi="(p | ~p)"', "malformed justification: "
+     "AX takes key=value parameters, not 'i=\u0660'"),
+    # a parameter given twice, or one the schema does not read
+    (3, 'AX InclBox i=0 phi="q" phi="(p | ~p)"', "malformed justification: "
+     "AX parameter phi given twice"),
+    (3, 'AX InclBox i=1 i=0 phi="(p | ~p)"', "malformed justification: "
+     "AX parameter i given twice"),
+    (3, 'AX InclBox i=0 phi="(p | ~p)" psi="q" l=1', "malformed "
+     "justification: schema InclBox does not read l, psi"),
+    (3, 'AX InclBox k=1 i=0 phi="(p | ~p)"', "malformed justification: "
+     "schema InclBox does not read k"),
 ])
 def test_every_argument_is_read(number, justification, message):
     # a kind the rule does not know, or an argument beyond those the
@@ -280,6 +307,8 @@ def test_parse_derivation_errors():
         parse_derivation("1: p ; PL\n")  # missing system header
     with pytest.raises(ValueError):
         parse_derivation("system XU\n2: p ; PL\n")  # gap in numbering
+    with pytest.raises(ValueError, match="bad derivation line"):
+        parse_derivation("system XU\n\u0661: p ; PL\n")  # not ASCII
 
 
 def test_every_fixture_line_is_semantically_valid():

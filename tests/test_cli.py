@@ -187,6 +187,10 @@ def test_axiom(capsys):
     # ~([-1]p & ~p) would not parse back
     assert cli.main(["axiom", "S5i-T", "--bind", "i=-1",
                      "--bind", "phi=p"]) == 2
+    # a binding that the schema does not read
+    assert cli.main(["axiom", "AIA", "--k", "1", "--bind", "phi0=p",
+                     "--bind", "phi1=q", "--bind", "phi2=r"]) == 2
+    assert "does not read phi2" in capsys.readouterr().err
 
 
 def test_oracle(capsys):

@@ -50,6 +50,13 @@ MUTANTS = {
                                   "for n, b in prs if False)"),
     "no_unmet_choices": ("solver.py", "None) is None):",
                          "None) is None or 1):"),
+    # the elimination of _search_group stops after one pass over the
+    # agents, or never shrinks u after a drop
+    "elimination_one_pass_only": ("solver.py", "while dropped:",
+                                  "if dropped:"),
+    "elimination_u_not_recomputed": ("solver.py",
+                                     "u &= ~cells.pop(r)[0]",
+                                     "cells.pop(r)"),
     "cells_keyed_by_first_agent": ("solver.py",
                                    "cells.setdefault(r & amask[a], set())",
                                    "cells.setdefault(r & amask[agents[0]], "
@@ -92,8 +99,8 @@ MUTANTS = {
                             'op = Diamond if rule == "RKD" else Box',
                             "op = Box"),
     "rk_agent_applies_the_dual": (
-        "axioms.py", 'partial(PosCstit if rule == "RKD" else Cstit, int(a))',
-        'partial(PosCstit if rule != "NEC" else Cstit, int(a))'),
+        "axioms.py", 'partial(PosCstit if rule == "RKD" else Cstit, a)',
+        'partial(PosCstit if rule != "NEC" else Cstit, a)'),
     "positive_definition_reversed": (
         "translate.py", "return Implies(s, body)", "return Implies(body, s)"),
 }

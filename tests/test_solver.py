@@ -16,6 +16,7 @@ from stitkit.solver import (InconclusiveError, SolverConfig, general_frames,
                             moment_frames, oracle, product_sat, sat, valid)
 from stitkit.syntax import length, parse, pretty
 
+import digests
 from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
                      reference_canonical, reference_frame_gpp,
                      reference_oracle,
@@ -23,6 +24,9 @@ from helpers import (SIZED_SAT, exhaustive_formulas, random_corpus,
 
 CFG2 = SolverConfig(agent_universe=2)
 CFG3 = SolverConfig(agent_universe=3)
+# the 60th formula of the three-agent sample of tests/search_counts.py
+THREE_AGENT_UNSAT = ("([2][]~[]{0}[1]{0}r & ~~~[2][]~[]({1}([1]r & "
+                     "[0]~(r & []q)) & ~{1}p))")
 
 
 def test_known_sat():
@@ -298,6 +302,28 @@ def test_inconclusive_on_giant_formula():
     assert combos.value.stats["groups"] == 1
 
 
+def test_one_agent_group_takes_one_combination():
+    # 3**10 types in one group and 1,024 profiles of agent 0: the
+    # fixpoint is the one set tested, with no combinations cap
+    f = syntax.conjoin([parse(f"[0]a{i}") for i in range(10)])
+    res = sat(f, SolverConfig(agent_universe=1))
+    assert res.verdict == "SAT"
+    assert res.stats["combos"] == 1
+    assert res.stats["witness_worlds"] <= length(f) ** 2
+    assert res.stats["quadratic_ok"]
+
+
+def test_three_agent_unsat_refused_without_combinations():
+    # the full subset walk tried 9,564,390 combinations (17.8 s of CPU
+    # on a 2-vCPU virtual machine) before it gave UNSAT
+    f = parse(THREE_AGENT_UNSAT)
+    assert syntax.agents(f) == {0, 1, 2}
+    res = sat(f, CFG3)
+    assert res.verdict == "UNSAT"
+    assert res.stats["combos"] == 0
+    assert res.stats["pruned"] > 0
+
+
 def test_stats_reported():
     res = sat(parse("p"), CFG2)
     assert "engine" in res.stats
@@ -369,8 +395,9 @@ def test_types_near_leaf_cap():
 
 def test_sat_memory_near_leaf_cap():
     # tracemalloc peaks of the previous engine, which held every type as
-    # one int per subformula: 3.24 and 10.16 MB
-    base = syntax.conjoin([parse(f"[0]a{i}") for i in range(10)])
+    # one int per subformula: 3.24 and 10.16 MB; two agents with 32
+    # profiles each, so the combinations cap refuses the first group
+    base = syntax.conjoin([parse(f"[{i // 5}]a{i}") for i in range(10)])
     for f, bound in ((base, 3.2e6), (syntax.And(base, parse("~[]p")), 10.1e6)):
         tracemalloc.start()
         try:
@@ -383,11 +410,13 @@ def test_sat_memory_near_leaf_cap():
 
 
 def _outcome(f, cfg):
+    """The result of sat, its stats without the effort counters, and its
+    combos."""
     res = sat(f, cfg)
-    if res.witness is None:
-        return res.verdict, None, None, res.stats
-    model, world = res.witness
-    return res.verdict, kripke.format_model(model), world, res.stats
+    stats = {k: v for k, v in res.stats.items() if k not in digests.EFFORT}
+    model, world = res.witness or (None, None)
+    return ((res.verdict, model and kripke.format_model(model), world,
+             stats), res.stats["combos"])
 
 
 def _assert_sat_matches_reference(formulas, cfg):
@@ -399,8 +428,10 @@ def _assert_sat_matches_reference(formulas, cfg):
         mp.setattr(solver, "_search_group", reference_search_group)
         slow = [_outcome(f, cfg) for f in formulas]
     assert len(calls) == len(formulas)
-    for f, a, b in zip(formulas, fast, slow):
+    for f, (a, combos), (b, walked) in zip(formulas, fast, slow):
         assert a == b, pretty(f)
+        # the elimination only ever shortens the reference's walk
+        assert combos <= walked, pretty(f)
 
 
 def test_sat_matches_reference_exhaustive():
