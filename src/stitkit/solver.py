@@ -21,9 +21,10 @@ single-agent case is in NP), and ENGINE_MAX_COMBOS bounds the subset
 space of two or more agents only.  Every SAT answer carries a
 witness that is re-checked by the independent model checker before being
 returned, and every witness stays within the 2**length(f) world bound.
-Over a universe of one agent, the witness keeps only the types that the
-closure conditions need, read from their bits and body columns, which
-keeps it within length(f)**2 worlds (the single-agent small model).
+Where fewer than two agents occur, at any agent universe, the witness
+keeps only the types that the closure conditions need, read from the
+elimination's cells, which keeps it within length(f)**2 worlds (the
+single-agent small model).
 
 A type is stored as its leaf assignment, one bit per leaf (atoms, [i]-
 and []-subformulas), and settledness and agent profiles are masks of
@@ -31,9 +32,9 @@ it.  Both inner loops are bit-parallel on Python integers.  _types runs
 the subformulas as a boolean program through kernel.columns, so a
 connective or a T constraint is one big-int operation per chunk of leaf
 assignments, and keeps the columns of the input and of the modal bodies
-as strings over the types.  _search_group reads those as bitsets over a
-group's candidates, so an elimination pass or a combination of profile
-subsets costs a few ANDs and ORs per profile.  The scalar loops they
+as byte strings over the types.  _search_group reads those as bitsets
+over a group's candidates, so an elimination pass or a combination of
+profile subsets costs a few ANDs and ORs per profile.  The scalar loops they
 replaced are kept in the tests as references.
 
 The oracle, the product check and the schema sweeps of axioms are
@@ -61,8 +62,6 @@ ENGINE_MAX_COMBOS = 1 << 22
 # for _types: digits as the bytes 0 and 1, and chunk offsets made once
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 _OFFSETS = tuple(range(1 << kernel._COLUMN_CHUNK_BITS))
-# for _one_agent_worlds: a column's digits negated
-_FLIP = str.maketrans("01", "10")
 
 
 class InconclusiveError(Exception):
@@ -107,8 +106,8 @@ def _types(g):
     Coherence is the T constraint: every true modal leaf has a true body.
     Returns (leaves, rows, root): the leaves, each with its body's column
     (None for an atom), the coherent assignments ascending, and g's
-    column.  A column is a '0'/'1' string over rows, compressed from
-    kernel.columns' bit columns once per chunk.
+    column.  A column is a b'0'/b'1' byte string over rows, compressed
+    from kernel.columns' bit columns once per chunk.
     """
     sf = syntax.subformulas(g)
     idx = {s: i for i, s in enumerate(sf)}
@@ -133,7 +132,7 @@ def _types(g):
     for k, i in enumerate(leaves):
         args[i] = (k, 0)
     # kept: the columns of every body and of g; rows in 8 bytes each
-    parts = {i: [] for i in [*modal.values(), len(sf) - 1]}
+    parts = {i: bytearray() for i in [*modal.values(), len(sf) - 1]}
     rows, base = array("q"), 0
     for full, col in kernel.columns(ops, args, len(leaves)):
         ok = full
@@ -145,10 +144,11 @@ def _types(g):
         pos = list(itertools.compress(_OFFSETS, flags))
         rows.extend(map(base.__add__, pos))
         for i, out in parts.items():
-            digits = bin(col[i] | top)[:2:-1]
-            out.append("".join(map(digits.__getitem__, pos)))
+            digits = bin(col[i] | top)[:2:-1].encode()
+            out.extend(map(digits.__getitem__, pos))
         base += full.bit_length()
-    cols = {i: "".join(out) for i, out in parts.items()}
+    # each column copied out and freed in turn: at most one held twice
+    cols = {i: bytes(parts.pop(i)) for i in list(parts)}
     return ([(sf[i], cols[modal[i]] if i in modal else None)
              for i in leaves], rows, cols[len(sf) - 1])
 
@@ -208,19 +208,13 @@ def sat(f, cfg=None):
         hit = _search_group(cand, span, agents, profiles, amask, pairs,
                             box_negs, root_mask, stats)
         if hit is not None:
-            u_set, t_sat = hit
-            keep = range(len(u_set))
-            if cfg.agent_universe == 1:
-                keep = _one_agent_worlds(u_set, t_sat, cand, span, box_negs,
-                                         pairs.get(0, ()), amask.get(0, 0))
-            model, world = _build_witness(u_set, t_sat, keep, leaves,
-                                          agents, amask, cfg)
+            model, world = _build_witness(*hit, leaves, agents, amask, cfg)
             if mc(model, world, f) is not True:
                 raise AssertionError("witness failed re-check")
             if len(model.worlds) > bound:
                 raise AssertionError("witness exceeds the 2^length bound")
             stats["witness_worlds"] = len(model.worlds)
-            if cfg.agent_universe == 1:
+            if len(agents) < 2:
                 q = stats["quadratic_bound"] = syntax.length(f) ** 2
                 stats["quadratic_ok"] = len(model.worlds) <= q
             return SatResult("SAT", (model, world), stats)
@@ -229,8 +223,8 @@ def sat(f, cfg=None):
 
 def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
                   root_mask, stats):
-    """First combination of profile subsets, one per agent, whose types
-    close into a model; returns (u_set, t_sat) or None.
+    """The types of a model of f built from this group, and f's world in
+    it, as (u_set, t_sat), or None.
 
     The candidates cand are the rows span of the columns, sets of them are
     bitsets in that order, and root_mask holds those where f holds.
@@ -245,8 +239,15 @@ def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
     when f or a false [] has no witness in the final u.  The walk is
     itertools.product over _subsets_desc of the kept profiles, which keeps
     the order of the full walk; its first combination is the fixpoint
-    itself, where only rectangularity is left to test.  Below two agents
-    that test always passes, so such a group takes that one combination.
+    itself, where only rectangularity is left to test, and the types are
+    those of the first combination that passes it.
+
+    Below two agents that test always passes, so such a group takes that
+    one combination, and keeps only the types a model needs, each the
+    lowest in u of its kind: f's, a refuter of each false [], and, in
+    the cell of each of those, a refuter of each false [a].  That keeps
+    the model within length(f)**2 worlds, the small model of the
+    single-agent case.
     """
     everyone = (1 << len(cand)) - 1
     col = {b: int(b[span][::-1], 2) for b in {*box_negs, *(
@@ -274,16 +275,30 @@ def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
     def witnessed(u):  # f holds in u and every false [] is refuted there
         return u & root_mask and all(u & ~col[b] for b in box_negs)
 
+    def low(z):  # the lowest candidate in the bitset z, as a bitset
+        return z & -z
+
     def found(u):
-        hit = u & root_mask
         return ([r for j, r in enumerate(cand) if u >> j & 1],
-                cand[(hit & -hit).bit_length() - 1])
+                cand[low(u & root_mask).bit_length() - 1])
 
     if not witnessed(u):
         return None
     if len(agents) < 2:
+        # the small model: f's first world, a refuter of each false [],
+        # and, in each cell that holds one of those, a refuter of each
+        # false [a]; the refuters share their cell's profile, so need no
+        # more, and a kept cell lies inside u
         stats["combos"] += 1
-        return found(u)
+        keep = low(u & root_mask)
+        for b in box_negs:
+            keep |= low(u & ~col[b])
+        for cells in kept:
+            for c, *refuters in cells.values():
+                if c & keep:
+                    for x in refuters:
+                        keep |= low(x)
+        return found(keep)
     # per agent: (cells, their union, every set that must meet u) of each
     # subset of the kept profiles, largest first; one agent's cells are
     # disjoint, so their sum is their union
@@ -305,38 +320,10 @@ def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
     return None
 
 
-def _one_agent_worlds(u_set, t_sat, cand, span, box_negs, cstits, m):
-    """The indices into u_set of the worlds a one-agent witness needs,
-    ascending: t_sat's, the first refuter of each false [], and, in the
-    cell of each of those, the refuter of each false [0] whose name w{k}
-    sorts least.  cstits holds the (leaf bit, body column) of the [0]
-    leaves and m is their mask.  That keeps the witness within
-    length(f)**2 worlds, the small model of the single-agent case."""
-    members = set(u_set)
-    at = [span.start + j for j, r in enumerate(cand) if r in members]
-    named = sorted(range(len(u_set)), key=str)
-    by_name = [at[k] for k in named]
-
-    def refuters(b, rows):  # bit i: the type at row rows[i] has b false
-        return int("".join(map(b.__getitem__, rows))[::-1].translate(_FLIP),
-                   2)
-
-    def first(z):
-        return (z & -z).bit_length() - 1
-    keep = {u_set.index(t_sat)}
-    keep.update(first(refuters(b, at)) for b in box_negs)
-    cells = {}  # per agent profile, its types as bits in name order
-    for i, k in enumerate(named):
-        cells[u_set[k] & m] = cells.get(u_set[k] & m, 0) | 1 << i
-    keep.update(named[first(cells[u_set[k] & m] & refuters(b, by_name))]
-                for k in list(keep) for n, b in cstits if not u_set[k] & n)
-    return sorted(keep)
-
-
-def _build_witness(u_set, t_sat, keep, leaves, agents, amask, cfg):
-    """The model over the types u_set[k], k in keep, as worlds w{k}, and
-    the world of t_sat."""
-    worlds = [(u_set[k], f"w{k}") for k in keep]
+def _build_witness(u_set, t_sat, leaves, agents, amask, cfg):
+    """The model over the types u_set[k] as worlds w{k}, and the world of
+    t_sat."""
+    worlds = [(r, f"w{k}") for k, r in enumerate(u_set)]
     partitions = {}
     for a in agents:
         cells = {}

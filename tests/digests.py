@@ -27,7 +27,9 @@ that the elimination before the walk dropped (EFFORT).
              (seed 1 order, agent_universe=2), with the sorted stats
              items other than the search effort counters (EFFORT);
              then, as "effort", the digest of repr of the sorted EFFORT
-             items, one per formula
+             items, one per formula; and, as "verdicts", the digest of
+             the verdicts alone, one line per formula, which a change to
+             the witnesses only keeps
   sat-hard3  the same on the 200 hard3 formulas (corpus order,
              agent_universe=3)
   sat-single the same on pretty(f) of the 8,962 criterion-9 formulas
@@ -59,22 +61,24 @@ def _lines(texts):
 EFFORT = ("groups", "combos", "pruned")
 
 
-def result_text(res, effort=None):
+def result_text(res, effort=None, verdicts=None):
     """repr of the verdict, the witness model as format_model writes it,
     the world and the stats items other than EFFORT, none of which
-    depends on the hash seed; the EFFORT items go to effort, a hashlib
-    object, when given."""
+    depends on the hash seed; the EFFORT items go to effort and the
+    verdict to verdicts, hashlib objects, when given."""
     model, world = res.witness or (None, None)
     stats = sorted(res.stats.items())
     if effort is not None:
         effort.update(repr([kv for kv in stats if kv[0] in EFFORT]).encode())
+    if verdicts is not None:
+        verdicts.update(f"{res.verdict}\n".encode())
     return repr((res.verdict, model and kripke.format_model(model), world,
                  [kv for kv in stats if kv[0] not in EFFORT]))
 
 
-def sat_results(texts, agent_universe, effort=None):
+def sat_results(texts, agent_universe, effort=None, verdicts=None):
     cfg = solver.SolverConfig(agent_universe=agent_universe)
-    return (result_text(solver.sat(syntax.parse(t), cfg), effort)
+    return (result_text(solver.sat(syntax.parse(t), cfg), effort, verdicts)
             for t in texts)
 
 
@@ -133,16 +137,16 @@ def replay():
     return replay_results(workloads.Replay().inputs(1)[1])
 
 
-def sat_decide(effort=None):
-    return sat_results(inputs.decide_inputs(1), 2, effort)
+def sat_decide(effort=None, verdicts=None):
+    return sat_results(inputs.decide_inputs(1), 2, effort, verdicts)
 
 
-def sat_hard3(effort=None):
-    return sat_results(inputs.hard3_corpus(), 3, effort)
+def sat_hard3(effort=None, verdicts=None):
+    return sat_results(inputs.hard3_corpus(), 3, effort, verdicts)
 
 
-def sat_single(effort=None):
-    return sat_results(single_texts(), 1, effort)
+def sat_single(effort=None, verdicts=None):
+    return sat_results(single_texts(), 1, effort, verdicts)
 
 
 DIGESTS = {"frames": frames, "oracle": oracle, "product": product,
@@ -160,9 +164,10 @@ def main(names):
                  f"{', '.join(DIGESTS)}")
     for name in names or DIGESTS:
         if name.startswith("sat-"):
-            effort = hashlib.sha256()
-            print(name, sha256(DIGESTS[name](effort)), "effort",
-                  effort.hexdigest(), flush=True)
+            effort, verdicts = hashlib.sha256(), hashlib.sha256()
+            print(name, sha256(DIGESTS[name](effort, verdicts)), "effort",
+                  effort.hexdigest(), "verdicts", verdicts.hexdigest(),
+                  flush=True)
         else:
             print(name, sha256(DIGESTS[name]()), flush=True)
 

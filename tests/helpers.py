@@ -324,7 +324,7 @@ def reference_types(g):
             vals.append(val)
 
     def column(s):
-        return "".join("1" if val[idx[s]] else "0" for val in vals)
+        return b"".join(b"1" if val[idx[s]] else b"0" for val in vals)
 
     return ([(sf[i], None if isinstance(sf[i], Atom) else column(sf[i].sub))
              for i in leaves], array("q", rows), column(g))
@@ -337,7 +337,7 @@ def reference_search_group(cand, span, agents, profiles, amask, pairs,
     cand = list(cand)
 
     def holds(column, j):
-        return column[span.start + j] == "1"
+        return column[span.start + j] == ord("1")
 
     for combo in itertools.product(
             *(_subsets_desc(profiles[a]) for a in agents)):
@@ -366,10 +366,25 @@ def reference_search_group(cand, span, agents, profiles, amask, pairs,
                 break
         if not ok:
             continue
-        t_sat = next((cand[j] for j in u if root_mask >> j & 1), None)
-        if t_sat is None:
+        hit = next((j for j in u if root_mask >> j & 1), None)
+        if hit is None:
             continue
-        return [cand[j] for j in u], t_sat
+        if len(agents) < 2:
+            # the first world of f and of each needed refuter: of each
+            # false [] in u, then of each false [a] in the cell of a world
+            # kept so far
+            keep = {hit}
+            for b in box_negs:
+                keep.add(next(j for j in u if not holds(b, j)))
+            for a in agents:
+                for j in sorted(keep):
+                    r = cand[j] & amask[a]
+                    for n, b in pairs[a]:
+                        if not r & n:
+                            keep.add(next(k for k in u if cand[k] & amask[a]
+                                          == r and not holds(b, k)))
+            u = sorted(keep)
+        return [cand[j] for j in u], cand[hit]
     return None
 
 

@@ -99,15 +99,18 @@ def test_sat_and_valid(capsys):
 def test_sat_single_agent(capsys):
     from stitkit import kripke
     text = "({0}p & <>~[0]p)"
-    code, out = run(capsys, "sat", "--json", text, "--agents", "1")
-    payload = json.loads(out)
     bound = syntax.length(syntax.parse(text)) ** 2
-    assert code == 0 and payload["verdict"] == "SAT"
-    assert payload["stats"]["quadratic_bound"] == bound
-    assert payload["stats"]["quadratic_ok"] is True
-    model = kripke.parse_model(payload["witness"]["model"])
-    assert len(model.worlds) <= bound
-    assert kripke.mc(model, payload["witness"]["world"], syntax.parse(text))
+    # one agent occurs, so the small model at any universe
+    for agents in ("1", "2"):
+        code, out = run(capsys, "sat", "--json", text, "--agents", agents)
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "SAT"
+        assert payload["stats"]["quadratic_bound"] == bound
+        assert payload["stats"]["quadratic_ok"] is True
+        model = kripke.parse_model(payload["witness"]["model"])
+        assert len(model.worlds) <= bound
+        assert kripke.mc(model, payload["witness"]["world"],
+                         syntax.parse(text))
     assert cli.main(["sat", "([0]p & ~[0]p)", "--agents", "1"]) == 1
     capsys.readouterr()
     assert cli.main(["sat", "[1]p", "--agents", "1"]) == 2

@@ -28,11 +28,11 @@ SLICES = {
 
 PINNED = {
     "sat-decide":
-        "775a7ad5cb30c8db53a81a35c955b6b76f8d4da9f3cb1c6359a5011e4c67df1d",
+        "52cab22bcd00cf64c02e2691958292dad683be8e032b716490c527a2aa472003",
     "sat-hard3":
         "1924a62fe01e764c53b39d4e5bad0d458090c1bbbc8875850c60486bc19a31b4",
     "sat-single":
-        "150c168b20715950e973066183ad179fe36a75b7f8e4f8f2682b96fda8fb1a34",
+        "496718caad4a8734480de54838f04a795cdfb4efd345cba0c568488772cbbc2b",
     "oracle":
         "4685d46eadc756aeda00e497dbe97009d89d286d6a9949b3d63384483e792311",
     "replay":

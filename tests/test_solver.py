@@ -258,11 +258,13 @@ def test_single_agent_matches_oracle():
         assert sat(f, cfg1).verdict == want, pretty(f)
 
 
-def test_single_agent_witness_within_quadratic_bound():
+@pytest.mark.parametrize("universe", [1, 2, 3])
+def test_single_agent_witness_within_quadratic_bound(universe):
     # the 2**14 valuations of 14 atoms are one group of types, more than
-    # length(f)**2; with no modal leaf, one world of f is a witness
+    # length(f)**2; with no modal leaf, one world of f is a witness, at
+    # any agent universe
     f = parse("(" + " | ".join(f"p{i}" for i in range(14)) + ")")
-    res = sat(f, SolverConfig(agent_universe=1))
+    res = sat(f, SolverConfig(agent_universe=universe))
     assert res.stats["types"] == 16384 > length(f) ** 2 == 8464
     assert res.stats["witness_worlds"] == 1
     assert res.stats["quadratic_ok"] is True
@@ -302,15 +304,21 @@ def test_inconclusive_on_giant_formula():
     assert combos.value.stats["groups"] == 1
 
 
-def test_one_agent_group_takes_one_combination():
-    # 3**10 types in one group and 1,024 profiles of agent 0: the
-    # fixpoint is the one set tested, with no combinations cap
-    f = syntax.conjoin([parse(f"[0]a{i}") for i in range(10)])
-    res = sat(f, SolverConfig(agent_universe=1))
+@pytest.mark.parametrize("agent, universe",
+                         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+def test_one_agent_group_takes_one_combination(agent, universe):
+    # 3**10 types in one group and 1,024 profiles of the agent: the
+    # fixpoint is the one set tested, with no combinations cap; f holds
+    # at one type only, with no false [] or [i] leaf, so that type is
+    # the witness at every universe
+    f = syntax.conjoin([parse(f"[{agent}]a{i}") for i in range(10)])
+    res = sat(f, SolverConfig(agent_universe=universe))
     assert res.verdict == "SAT"
     assert res.stats["combos"] == 1
-    assert res.stats["witness_worlds"] <= length(f) ** 2
-    assert res.stats["quadratic_ok"]
+    assert res.stats["witness_worlds"] == 1
+    assert res.stats["quadratic_ok"] is True
+    model, world = res.witness
+    assert mc(model, world, f) is True
 
 
 def test_three_agent_unsat_refused_without_combinations():
@@ -358,7 +366,8 @@ def _assert_types_match(g):
     assert leaves == ref_leaves, pretty(g)
     assert rows == ref_rows, pretty(g)
     assert root == ref_root, pretty(g)
-    assert all(type(c) is str for _, c in leaves if c is not None)
+    assert all(type(c) is bytes for _, c in leaves if c is not None)
+    assert type(root) is bytes
 
 
 def test_types_match_reference_exhaustive():
