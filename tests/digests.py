@@ -28,8 +28,8 @@ that the elimination before the walk dropped (EFFORT).
              items other than the search effort counters (EFFORT);
              then, as "effort", the digest of repr of the sorted EFFORT
              items, one per formula; and, as "verdicts", the digest of
-             the verdicts alone, one line per formula, which a change to
-             the witnesses only keeps
+             the verdicts alone, one line per formula, which a change of
+             witnesses alone keeps
   sat-hard3  the same on the 200 hard3 formulas (corpus order,
              agent_universe=3)
   sat-single the same on pretty(f) of the 8,962 criterion-9 formulas
