@@ -23,6 +23,17 @@ source deductions use freely:
 Necessitation is system-specific: settledness necessitation in XU and
 AAIA-SYS, agent necessitation in GPERM-SYS (where settledness
 necessitation, and with it RK and RKD of [], is not primitive).
+
+Derivations repeat their formula texts: the same slot formula recurs in
+many AX steps, and criterion 6's single-line negations of a fixture share
+all but one of its lines.  So the formula of a derivation line or of an
+AX slot parameter is parsed once per process for each distinct text,
+through one memo from text to tree (a memo function, Michie 1968).
+Sharing a tree is safe because nodes are immutable; only a successful
+parse is kept, so a bad text raises the same error every time.  The memo
+holds at most 1024 texts, least recently used first out, so a
+long-lived process that checks many different derivations does not keep
+every tree it ever read.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from . import kernel, solver, syntax
 from .syntax import (And, Box, Cstit, Diamond, Dstit, Iff, Implies, Not,
@@ -188,6 +199,14 @@ def _number(tok, noun):
     return int(tok)
 
 
+@lru_cache(maxsize=1024)
+def _parse_formula(text):
+    """parse(text), kept for the next line or parameter with the same
+    text; parse is looked up at each miss, so a wrapper put in its place
+    sees every real parse."""
+    return parse(text)
+
+
 def parse_derivation(text):
     system = None
     lines = []
@@ -196,6 +215,8 @@ def parse_derivation(text):
         if not ln or ln.startswith("#"):
             continue
         if ln.startswith("system "):
+            if system is not None:
+                raise ValueError("repeated 'system' header")
             system = ln.split(None, 1)[1].strip()
             continue
         m = _LINE_RE.match(ln)
@@ -206,7 +227,8 @@ def parse_derivation(text):
             raise ValueError(f"line numbered {number} where "
                              f"{len(lines) + 1} was expected")
         rule, *args = m.group(3).split()
-        lines.append(Line(number, parse(m.group(2)), rule, tuple(args)))
+        lines.append(Line(number, _parse_formula(m.group(2)), rule,
+                          tuple(args)))
     if system is None:
         raise ValueError("derivation is missing a 'system' header")
     if system not in SYSTEMS:
@@ -293,7 +315,7 @@ def _parse_ax_args(args):
             raise ValueError(f"AX parameter {key} given twice")
         seen.add(key)
         if fml:
-            bindings[key] = parse(fml)
+            bindings[key] = _parse_formula(fml)
         elif key == "k":
             k = int(num)
         else:

@@ -278,8 +278,9 @@ def _search_group(cand, span, agents, profiles, amask, pairs, box_negs,
     def low(z):  # the lowest candidate in the bitset z, as a bitset
         return z & -z
 
-    def found(u):
-        return ([r for j, r in enumerate(cand) if u >> j & 1],
+    def found(u):  # the bits of u read once, lowest first, as _types does
+        flags = bin(u)[:1:-1].encode().translate(_FLAGS)
+        return (list(itertools.compress(cand, flags)),
                 cand[low(u & root_mask).bit_length() - 1])
 
     if not witnessed(u):

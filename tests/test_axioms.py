@@ -309,6 +309,47 @@ def test_parse_derivation_errors():
         parse_derivation("system XU\n2: p ; PL\n")  # gap in numbering
     with pytest.raises(ValueError, match="bad derivation line"):
         parse_derivation("system XU\n\u0661: p ; PL\n")  # not ASCII
+    # a later header does not move the derivation to another system: the
+    # line below is refused in GPERM-SYS and would pass in XU
+    with pytest.raises(ValueError, match="repeated 'system' header"):
+        parse_derivation('system GPERM-SYS\n'
+                         '1: ([]p -> p) ; AX S5Box-T phi="p"\n'
+                         'system XU\n')
+
+
+def test_formula_texts_are_parsed_once():
+    # a text seen before comes back as the same tree, in a line or in an
+    # AX slot, from another derivation too
+    first = parse_derivation('system XU\n1: ([]p -> p) ; AX S5Box-T phi="p"\n'
+                             '2: (p & q) ; PL\n')
+    second = parse_derivation("system AAIA-SYS\n1: (p & q) ; PL\n")
+    assert second.lines[0].formula is first.lines[1].formula
+    assert axioms._parse_ax_args(("S5Box-T", 'phi="(p & q)"'))[1]["phi"] \
+        is first.lines[1].formula
+    # a bad text is not kept: it raises the same error every time
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as e:
+            parse_derivation("system XU\n1: (p & ; PL\n")
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] and "position" in messages[0]
+    # and the memo is bounded
+    assert axioms._parse_formula.cache_info().maxsize is not None
+
+
+def test_memo_parses_through_the_module_name(monkeypatch):
+    # a wrapper put in place of axioms.parse (as the benchmark's tracer
+    # does) sees one call per text not parsed before, and no other
+    axioms._parse_formula.cache_clear()
+    seen = []
+    monkeypatch.setattr(axioms, "parse",
+                        lambda text: seen.append(text) or parse(text))
+    parse_derivation('system XU\n'
+                     '1: ([]memo_a -> memo_a) ; AX S5Box-T phi="memo_a"\n'
+                     '2: ([]memo_a -> memo_a) ; PL 1\n')
+    assert seen == ["([]memo_a -> memo_a)"]
+    axioms._parse_ax_args(("S5Box-T", 'phi="memo_a"', 'psi="memo_a"'))
+    assert seen == ["([]memo_a -> memo_a)", "memo_a"]
 
 
 def test_every_fixture_line_is_semantically_valid():
