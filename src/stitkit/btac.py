@@ -38,53 +38,31 @@ class BtacModel:
 
     def __post_init__(self):
         self.moments = tuple(self.moments)
-        known = set(self.moments)
-        if len(known) != len(self.moments):
-            raise ValueError("duplicate moment ids")
-        roots = [w for w in self.moments if self.parent.get(w) is None]
-        if len(roots) != 1:
-            raise ValueError(f"expected one root, found {len(roots)}")
-        for w in self.moments:
-            p = self.parent.get(w)
-            if p is not None and p not in known:
-                raise ValueError(f"unknown parent {p!r} of {w!r}")
-        # a walk stops at a moment known to reach the root: linear time
-        rooted = set()
-        for w in self.moments:
-            seen = set()
-            while w is not None and w not in rooted:
-                if w in seen:
-                    raise ValueError("cycle in parent links")
-                seen.add(w)
-                w = self.parent.get(w)
-            rooted |= seen
-        self.choice = {k: tuple(frozenset(c) for c in cells)
-                       for k, cells in self.choice.items()}
-        self.valuation = {p: frozenset(map(tuple, ws))
-                          for p, ws in self.valuation.items()}
-        self._derive_histories()
-
-    def _derive_histories(self):
         children = {w: [] for w in self.moments}
-        root = None
+        if len(children) != len(self.moments):
+            raise ValueError("duplicate moment ids")
+        roots, unknown = [], None
         for w in self.moments:
             p = self.parent.get(w)
             if p is None:
-                root = w
-            else:
+                roots.append(w)
+            elif p in children:
                 children[p].append(w)
-        for w, k in self.multiplicity.items():
-            if children.get(w) != []:
-                raise ValueError(f"histories at {w}, which is not a leaf")
-            if k < 1:
-                raise ValueError(f"histories {k} at {w} is below 1")
+            elif unknown is None:
+                unknown = f"unknown parent {p!r} of {w!r}"
+        if len(roots) != 1:
+            raise ValueError(f"expected one root, found {len(roots)}")
+        if unknown:
+            raise ValueError(unknown)
         names = []
         leaf_of = {}
+        reached = 0
         # depth first with an explicit stack, so a tree of any depth
         # names its histories; children go on reversed to keep leaf order
-        stack = [root]
+        stack = [roots[0]]
         while stack:
             w = stack.pop()
+            reached += 1
             if children[w]:
                 stack.extend(reversed(children[w]))
                 continue
@@ -92,6 +70,19 @@ class BtacModel:
                 h = f"h{len(names) + 1}"
                 names.append(h)
                 leaf_of[h] = w
+        # every moment has one parent, so a moment the walk from the root
+        # misses lies on a cycle or below one
+        if reached != len(self.moments):
+            raise ValueError("cycle in parent links")
+        self.choice = {k: tuple(frozenset(c) for c in cells)
+                       for k, cells in self.choice.items()}
+        self.valuation = {p: frozenset(map(tuple, ws))
+                          for p, ws in self.valuation.items()}
+        for w, k in self.multiplicity.items():
+            if children.get(w) != []:
+                raise ValueError(f"histories at {w}, which is not a leaf")
+            if k < 1:
+                raise ValueError(f"histories {k} at {w} is below 1")
         self.histories = tuple(names)
         self._leaf_of = leaf_of
 
@@ -167,7 +158,7 @@ def eval(m, idx, f):
     """Truth of f at a moment/history index."""
     w, h = idx
     if w not in m.moments or h not in m.histories:
-        raise KeyError(f"unknown index {w}/{h}")
+        raise ValueError(f"unknown index {w}/{h}")
     if w not in m.moments_of(h):
         raise ValueError(f"history {h} does not pass through {w}")
     if isinstance(f, Atom):
@@ -225,6 +216,9 @@ def parse_model(text):
         elif ln.startswith("choice "):
             (agent, w), body = key_line(ln, "choice A M")
             agent = int_field(agent, ln)
+            if agent < 0:
+                raise ValueError(f"bad line {ln!r}: agent {agent} is "
+                                 f"negative")
             once(seen, f"choice {agent} {w}", ln)
             choice[(agent, w)] = cells_field(body)
         elif ln.startswith("val "):

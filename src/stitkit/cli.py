@@ -80,6 +80,9 @@ def cmd_check(args):
             raise ValueError("btac index must look like moment/history")
         value = btac.eval(m, (w, h), f)
     else:
+        # refuse an agent outside the universe whatever operand holds it,
+        # as sat and oracle do, not just once mc reaches it
+        solver._check_agents(f, SolverConfig(agent_universe=m.agent_universe))
         value = kripke.mc(m, args.at, f)
     _report(args, {"holds": value}, "true" if value else "false")
     return 0 if value else 1
@@ -112,7 +115,7 @@ def cmd_filter(args):
     if isinstance(m, btac.BtacModel):
         raise ValueError("filter expects a kripke or moment model")
     f = syntax.parse(args.formula)
-    out = kripke.filtrate(m, f)
+    out, _ = kripke.filtrate(m, f)
     text = kripke.format_model(out)
     _report(args, {"model": text, "worlds": len(out.worlds)}, text.rstrip())
     return 0

@@ -245,7 +245,7 @@ def check_gpp(m):
 def mc(m, w, f):
     """Model checking at a world; dstit goes through interdefinability."""
     if w not in m.worlds:
-        raise KeyError(f"unknown world {w!r}")
+        raise ValueError(f"unknown world {w!r}")
     class_of = _class_lookup(m)
     memo = {}
 
@@ -277,17 +277,13 @@ def mc(m, w, f):
 
 
 def filtrate(m, f):
-    """Filtration through the subformulas of f.
+    """Filtration through the subformulas of f, with its world map.
 
     Requires a generated model (single settledness class) satisfying the
-    permutation property.  Worlds of the result are named q0, q1, ... in
-    order of first appearance; use filtrate_with_map to recover which
-    original worlds collapsed where.
+    permutation property.  Returns the quotient, whose worlds are named
+    q0, q1, ... in order of first appearance, and the map from each
+    original world to the quotient world it collapsed into.
     """
-    return filtrate_with_map(m, f)[0]
-
-
-def filtrate_with_map(m, f):
     if len(box_classes(m)) != 1:
         raise ValueError("filtrate requires a generated model")
     if check_gpp(m):
@@ -364,12 +360,13 @@ def key_line(ln, form):
 
 
 def int_field(text, ln):
-    """An integer field of a model-file line."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad line {ln!r}: {text!r} is not an "
-                         f"integer") from None
+    """An integer field of a model-file line: ASCII digits after one
+    optional minus sign (int() also takes a plus sign, underscores and
+    other scripts' digits)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad line {ln!r}: {text!r} is not an integer")
+    return int(text)
 
 
 def once(seen, key, ln):
@@ -442,13 +439,12 @@ def parse_model(text):
             if c - known:
                 raise ValueError(f"{relkey} {a} uses unknown worlds "
                                  f"{sorted(c - known)}")
-    if kind == "kripke":
-        m = KripkeModel(worlds, relations, valuation, universe)
-        eq = check_equivalence(m)
-        if eq:
-            raise ValueError("; ".join(eq))
-        return m
-    return MomentModel(worlds, relations, valuation, universe)
+    cls = KripkeModel if kind == "kripke" else MomentModel
+    m = cls(worlds, relations, valuation, universe)
+    eq = check_equivalence(m)
+    if eq:
+        raise ValueError("; ".join(eq))
+    return m
 
 
 def format_model(m):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from stitkit import axioms, solver, syntax, translate
-from stitkit.kripke import MomentModel, filtrate_with_map, mc
+from stitkit.kripke import MomentModel, filtrate, mc
 from stitkit.solver import SolverConfig
 from stitkit.syntax import (And, Atom, Box, Cstit, Dstit, Not, length,
                             parse, pretty, subformulas)
@@ -99,7 +99,7 @@ def test_criterion_3_filtration_bound(capsys):
     bad = 0
     for f in corpus:
         m = _random_generated_model(rng)
-        out, wmap = filtrate_with_map(m, f)
+        out, wmap = filtrate(m, f)
         if len(out.worlds) > 2 ** length(f):
             bad += 1
         for g in subformulas(f):

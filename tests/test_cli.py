@@ -320,6 +320,15 @@ BAD_LINES = {
     "btac-second-choice": ("btac\nmoment m1 histories 2\n"
                            "choice 0 m1: {h1} {h2}\n", "choice 0 m1: {h1 h2}"),
     "btac-second-val": ("btac\nmoment m1\nval p: m1/h1\n", "val p:"),
+    # int() would read these as 1, 0, 2 and 0
+    "kripke-agents-plus-sign": ("", "kripke agents=+1"),
+    "kripke-rel-agent-underscore": ("kripke agents=1\nworlds: a b\n",
+                                    "rel 0_0: {a b}"),
+    "btac-histories-arabic-indic": ("btac\n", "moment m1 histories \u0662"),
+    "btac-choice-agent-arabic-indic": ("btac\nmoment m1\n",
+                                       "choice \u0660 m1: {h1}"),
+    "btac-choice-agent-negative": ("btac\nmoment m1\n",
+                                   "choice -1 m1: {h1}"),
 }
 BAD_MODELS.update((name, head + line + "\n")
                   for name, (head, line) in BAD_LINES.items())
@@ -336,3 +345,21 @@ def test_bad_model_file_exit_2(capsys, tmp_path, name):
     assert err.startswith("error:") and err.count("\n") == 1
     if name in BAD_LINES:
         assert repr(BAD_LINES[name][1]) in err
+
+
+def test_unknown_index_is_a_clean_error(capsys, moment_file, btac_file):
+    assert cli.main(["check", moment_file, "p", "--at", "zz"]) == 2
+    assert capsys.readouterr().err == "error: unknown world 'zz'\n"
+    assert cli.main(["check", btac_file, "p", "--at", "m9/h1"]) == 2
+    assert capsys.readouterr().err == "error: unknown index m9/h1\n"
+
+
+def test_check_agents_whatever_the_operand_order(capsys, tmp_path):
+    # p is false at a, so (p & [3]p) would answer false before [3]p is
+    # read, were the agents not checked first
+    path = tmp_path / "one.model"
+    path.write_text("kripke agents=1\nworlds: a b\nrel 0: {a b}\n")
+    for text in ("(p & [3]p)", "([3]p & p)"):
+        assert cli.main(["check", str(path), text, "--at", "a"]) == 2
+        assert capsys.readouterr().err \
+            == "error: agents [3] outside universe 1\n"

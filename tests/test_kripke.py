@@ -5,8 +5,7 @@ import pytest
 from stitkit import btac, kripke, syntax
 from stitkit.kripke import (KripkeModel, MomentModel, box_classes,
                             check_equivalence, check_gpp, filtrate,
-                            filtrate_with_map, format_model, mc,
-                            parse_model, validate_model)
+                            format_model, mc, parse_model, validate_model)
 from stitkit.syntax import parse, pretty, subformulas
 
 from helpers import generated_submodel, random_corpus, reference_check_gpp
@@ -37,13 +36,12 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rejects_non_partition():
-    bad = """
-    kripke agents=1
-    worlds: a b
-    rel 0: {a} {a b}
-    """
-    with pytest.raises(ValueError):
-        parse_model(bad)
+    # both kinds are checked when read, through one path
+    for kind, key in (("kripke", "rel"), ("moment", "part")):
+        bad = f"{kind} agents=1\nworlds: a b\n{key} 0: {{a}} {{a b}}\n"
+        with pytest.raises(ValueError,
+                           match=r"agent 0: worlds \['a'\] in two cells"):
+            parse_model(bad)
 
 
 def test_valuation_of_unknown_worlds():
@@ -224,7 +222,7 @@ def test_filtration_preserves_truth_and_bound():
     corpus = random_corpus(23, 40, 10)
     for f in corpus:
         m = random_product_model(rng, rng.randint(1, 3), rng.randint(1, 3))
-        out, wmap = filtrate_with_map(m, f)
+        out, wmap = filtrate(m, f)
         assert len(out.worlds) <= 2 ** syntax.length(f)
         for g in subformulas(f):
             for w in m.worlds:
