@@ -34,12 +34,22 @@ parse is kept, so a bad text raises the same error every time.  The memo
 holds at most 1024 texts, least recently used first out, so a
 long-lived process that checks many different derivations does not keep
 every tree it ever read.
+
+The checker's own work is memoized the same way, by the identity of
+those shared trees: the canon form of a line is computed once per
+process for each distinct line tree, and the verdict of a PL step once
+for each distinct tuple of canon conclusion and canon premises.  Each
+memo holds the nodes its keys name, so an id is never reused while its
+entry lives, keeps at most 1024 entries, least recently used first out,
+and keeps only results: a step over too many letters, or a formula
+nested too deeply, raises again every time.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -199,7 +209,11 @@ def _number(tok, noun):
     return int(tok)
 
 
-@lru_cache(maxsize=1024)
+# the most entries each memo of this module keeps
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _parse_formula(text):
     """parse(text), kept for the next line or parameter with the same
     text; parse is looked up at each miss, so a wrapper put in its place
@@ -289,6 +303,43 @@ def _pl_entails(premises, conclusion):
                    kernel.columns(ops, args, len(letters)))
 
 
+def _by_identity(fn):
+    """fn memoized by the identity of its arguments, for at most
+    _MEMO_SIZE argument tuples, least recently used first out.  An entry
+    holds its arguments, so no id in its key is reused while it lives;
+    only a result is kept, so an exception is raised again on every
+    call.  The memo is the wrapper's ``memo`` attribute."""
+    memo = OrderedDict()
+
+    def call(*args):
+        key = tuple(map(id, args))
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+            return hit[1]
+        result = fn(*args)
+        memo[key] = args, result
+        if len(memo) > _MEMO_SIZE:
+            memo.popitem(last=False)
+        return result
+
+    call.memo = memo
+    return call
+
+
+@_by_identity
+def _line_form(f):
+    """canon(f), for a line formula; canon is looked up at each miss, so
+    a wrapper put in its place sees every real call."""
+    return canon(f)
+
+
+@_by_identity
+def _pl_step(conclusion, *premises):
+    """Whether the canon forms premises entail conclusion (_pl_entails)."""
+    return _pl_entails(premises, conclusion)
+
+
 def _as_implication(f):
     """Split f, in canon form, of shape A -> B, else None.
 
@@ -310,11 +361,12 @@ def _parse_ax_args(args):
     if extra:
         raise ValueError(f"AX takes key=value parameters, not {extra!r}")
     bindings, agents, k, seen = {}, {}, None, set()
-    for key, fml, num in _PARAM_RE.findall(rest):
+    for m in _PARAM_RE.finditer(rest):
+        key, fml, num = m.groups()
         if key in seen:
             raise ValueError(f"AX parameter {key} given twice")
         seen.add(key)
-        if fml:
+        if fml is not None:
             bindings[key] = _parse_formula(fml)
         elif key == "k":
             k = int(num)
@@ -355,7 +407,7 @@ def check(derivation, system=None):
         return proved[_number(tok, "line")]
 
     for line in derivation.lines:
-        form = canon(line.formula)
+        form = _line_form(line.formula)
         try:
             rule = line.rule
             if rule == "AX":
@@ -376,7 +428,7 @@ def check(derivation, system=None):
                     return fail(line, "MP shape mismatch")
             elif rule == "PL":
                 premises = [cited(tok) for tok in line.args]
-                if not _pl_entails(premises, form):
+                if not _pl_step(form, *premises):
                     return fail(line, "not a propositional consequence "
                                       "of the cited lines")
             elif rule in ("NEC", "RK", "RKD"):

@@ -527,6 +527,30 @@ def line_negations(text):
         yield "\n".join(mutated)
 
 
+def _pl_document(phi, conclusion):
+    """An XU derivation: the T instance of []phi, then conclusion by PL
+    from it."""
+    return (f'system XU\n1: ([]{phi} -> {phi}) ; AX S5Box-T phi="{phi}"\n'
+            f"2: {conclusion} ; PL 1\n")
+
+
+# derivations to check in this order, each with its verdict, in pairs:
+# the PL step of the second of a pair has the premises (the first two
+# pairs) or the conclusion (the last two) of the first, and the other
+# verdict, so a memo of PL verdicts keyed by one part alone gives the
+# second the verdict of the first
+PL_SHARED_STEPS = [
+    (_pl_document("s0", "(~[]s0 | s0)"), True),
+    (_pl_document("s0", "(s0 -> []s0)"), False),
+    (_pl_document("s1", "(s1 -> []s1)"), False),
+    (_pl_document("s1", "(~[]s1 | s1)"), True),
+    (_pl_document("s2", "(~[]s2 | s2)"), True),
+    (_pl_document("s3", "(~[]s2 | s2)"), False),
+    (_pl_document("s5", "(~[]s4 | s4)"), False),
+    (_pl_document("s4", "(~[]s4 | s4)"), True),
+]
+
+
 # unsatisfiable inputs of tr_prime that put a compound operand of [i] at
 # negative or mixed polarity, where a one-way definition of the wrong
 # direction would make the output satisfiable

@@ -11,7 +11,8 @@ from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_entails, canon,
 from stitkit.solver import SolverConfig
 from stitkit.syntax import Atom, Cstit, Not, Or, conjoin, parse, pretty
 
-from helpers import (FIXTURES, SIZED_SAT, exhaustive_formulas, random_corpus,
+from helpers import (FIXTURES, PL_SHARED_STEPS, SIZED_SAT,
+                     exhaustive_formulas, random_corpus,
                      reference_pl_consequence, reference_sweep_frames)
 
 
@@ -274,6 +275,11 @@ def _with_justification(number, justification):
      "justification: schema InclBox does not read l, psi"),
     (3, 'AX InclBox k=1 i=0 phi="(p | ~p)"', "malformed justification: "
      "schema InclBox does not read k"),
+    # an empty quoted parameter is an empty formula, not a number
+    (3, 'AX InclBox i=0 phi=""', "malformed justification: unexpected "
+     "token eof (at position 0)"),
+    (3, 'AX InclBox i=0 phi="(p | ~p)" k=""', "malformed justification: "
+     "unexpected token eof (at position 0)"),
 ])
 def test_every_argument_is_read(number, justification, message):
     # a kind the rule does not know, or an argument beyond those the
@@ -350,6 +356,71 @@ def test_memo_parses_through_the_module_name(monkeypatch):
     assert seen == ["([]memo_a -> memo_a)"]
     axioms._parse_ax_args(("S5Box-T", 'phi="memo_a"', 'psi="memo_a"'))
     assert seen == ["([]memo_a -> memo_a)", "memo_a"]
+
+
+def _counting(monkeypatch, name):
+    """Calls of axioms.<name> from now on, through a wrapper in its place
+    (canon's own recursion goes through the wrapper too)."""
+    calls = []
+    fn = getattr(axioms, name)
+    monkeypatch.setattr(axioms, name,
+                        lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_each_line_and_pl_step_is_judged_once(monkeypatch):
+    # a second check of a derivation, or of another with the same line
+    # texts, computes no canon form and no truth table
+    doc = ('system XU\n1: ([]~~once_a -> ~~once_a) ; AX S5Box-T '
+           'phi="~~once_a"\n2: (~[]once_a | once_a) ; PL 1\n')
+    canons, tables = (_counting(monkeypatch, name)
+                      for name in ("canon", "_pl_entails"))
+    first = check(parse_derivation(doc))
+    assert first.ok and canons and len(tables) == 1
+    seen = len(canons)
+    assert check(parse_derivation(doc.replace("XU", "AAIA-SYS"))) == first
+    assert (len(canons), len(tables)) == (seen, 1)
+
+
+def test_pl_memo_keys_the_premises_and_the_conclusion():
+    # a step with the premises or the conclusion of an earlier step, and
+    # the other verdict, gets its own verdict, in either order
+    refused = axioms.CheckResult(False, 2, "not a propositional "
+                                 "consequence of the cited lines")
+    for doc, ok in PL_SHARED_STEPS:
+        result = check(parse_derivation(doc))
+        assert result.ok if ok else result == refused, doc
+
+
+def test_pl_step_errors_are_not_kept(monkeypatch):
+    # a step over too many letters fails the same way every time, and is
+    # judged every time
+    letters = [f"many_{i}" for i in range(_PL_MAX_LETTERS + 1)]
+    doc = f"system XU\n1: (({' & '.join(letters)}) -> many_0) ; PL\n"
+    tables = _counting(monkeypatch, "_pl_entails")
+    want = axioms.CheckResult(False, 1, "malformed justification: too many "
+                              "distinct subformulas for a PL step")
+    assert [check(parse_derivation(doc)) for _ in range(2)] == [want] * 2
+    assert len(tables) == 2
+
+
+def test_check_memos_are_bounded():
+    # fed more distinct trees than the bound, each memo keeps the most
+    # recently used ones and no more; a hit counts as a use
+    bound = axioms._MEMO_SIZE
+    trees = [Not(Not(Atom(f"bound_{i}"))) for i in range(bound + 6)]
+    for memo, call in ((axioms._line_form.memo, axioms._line_form),
+                       (axioms._pl_step.memo,
+                        lambda f: axioms._pl_step(f, f))):
+        for f in trees[:-1]:
+            call(f)
+        assert len(memo) == bound
+        call(trees[5])
+        call(trees[-1])
+        kept = [args[0] for args, _ in memo.values()]
+        assert kept == trees[7:-1] + [trees[5], trees[-1]]
+    assert axioms._line_form(trees[5]) == Atom("bound_5")
+    assert axioms._pl_step(trees[5], trees[5]) is True
 
 
 def test_every_fixture_line_is_semantically_valid():

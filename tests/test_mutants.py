@@ -19,12 +19,16 @@ come from its own cell, against ``oracle(f, 4)``; and a disjunction of
 the bound only (its 56 valuation bits at 4 worlds are beyond the
 oracle's budget).
 
-Two more slices check ``axioms`` and ``translate``: the six fixture
+Two more slices check ``axioms`` and ``translate``.  The six fixture
 derivations must be accepted and every 8th of criterion 6's single-line
-negations rejected, and ``oracle(f, 2)`` must give ``f`` and its
-translation the same verdict, on the inputs of the two satisfiability
-tests of tests/test_translate.py (through ``tr_prime`` with its polarity
-inputs, and through ``tr``).
+negations rejected; then each derivation of ``PL_SHARED_STEPS`` must get
+its own verdict after one whose PL step has its premises or its
+conclusion.  (A negated line changes the conclusion of the one step the
+check reaches, so the negations alone never ask the PL memo for a seen
+conclusion under other premises.)  And ``oracle(f, 2)`` must give ``f``
+and its translation the same verdict, on the inputs of the two
+satisfiability tests of tests/test_translate.py (through ``tr_prime``
+with its polarity inputs, and through ``tr``).
 """
 
 import os
@@ -96,6 +100,11 @@ MUTANTS = {
     "canon_drops_a_negation": (
         "axioms.py", "return f if sub is f.sub else Not(sub)",
         "return f if sub is f.sub else sub"),
+    # the memos of check keyed by their first argument only, so a PL step
+    # gets the verdict of an earlier step with its conclusion
+    "pl_memo_key_without_premises": ("axioms.py",
+                                     "key = tuple(map(id, args))",
+                                     "key = id(args[0])"),
     # the monotony rules with the wrong operator
     "rkd_applies_the_box": ("axioms.py",
                             'op = Diamond if rule == "RKD" else Box',
@@ -112,8 +121,8 @@ MUTANTS = {
 CHECK = """
 import importlib.resources
 import sys
-from helpers import (FIXTURES, TR_PRIME_POLARITY, exhaustive_formulas,
-                     line_negations, random_corpus)
+from helpers import (FIXTURES, PL_SHARED_STEPS, TR_PRIME_POLARITY,
+                     exhaustive_formulas, line_negations, random_corpus)
 from stitkit import axioms, solver, syntax, translate
 from stitkit.kripke import mc
 
@@ -165,6 +174,11 @@ for name in FIXTURES:
             print("derivation", name, k)
             sys.exit(3)
         checked += 1
+for k, (doc, ok) in enumerate(PL_SHARED_STEPS):
+    if axioms.check(axioms.parse_derivation(doc)).ok != ok:
+        print("shared PL step", k)
+        sys.exit(3)
+    checked += 1
 
 cstit_only = random_corpus(45, 25, 8, dstit=False) + [
     syntax.parse(t) for t in TR_PRIME_POLARITY]
@@ -203,7 +217,8 @@ def _run(tmp_path, name=None):
 def test_unmutated_copy_passes(tmp_path):
     out = _run(tmp_path)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) == 2367 + 82 + 1 + 226 + 1 + 6 + 43 + 30 + 25
+    assert int(out.stdout) == (2367 + 82 + 1 + 226 + 1 + 6 + 43 + 8 + 30
+                               + 25)
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
