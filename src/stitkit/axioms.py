@@ -354,6 +354,12 @@ def _as_implication(f):
     return None
 
 
+# the AX parameters that take a number, and the formula slots of the
+# schemas (phi, psi, phi0, phi1, ...)
+_NUMBER_PARAMS = {"i", "l", "m", "n", "k"}
+_SLOT_RE = re.compile(r"(?:phi|psi)[0-9]*")
+
+
 def _parse_ax_args(args):
     name, *rest = args or ("",)
     rest = " ".join(rest)
@@ -366,6 +372,12 @@ def _parse_ax_args(args):
         if key in seen:
             raise ValueError(f"AX parameter {key} given twice")
         seen.add(key)
+        if fml is not None and key in _NUMBER_PARAMS:
+            raise ValueError(f"AX parameter {key} takes a number, not a "
+                             f"quoted formula")
+        if num is not None and _SLOT_RE.fullmatch(key):
+            raise ValueError(f"AX parameter {key} takes a quoted formula, "
+                             f"not a number")
         if fml is not None:
             bindings[key] = _parse_formula(fml)
         elif key == "k":
@@ -536,7 +548,19 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
     additionally sweeps multi-class frames with the permutation property.
     ``max_points`` is capped like the oracle's ``max_worlds``, since both
     walk the same frames.  Returns a report with any counterexamples
-    (none expected).
+    (none expected), in instance order.
+
+    The instances of a family share most of their subformulas, so they
+    are swept in groups: one sweep of the conjunction of each group of
+    instances with the same agent set and the same atom set, in the
+    order the groups first appear, where the kernel evaluates each
+    shared subformula once.  A group whose conjunction never fails is
+    valid throughout; only the instances of a group that fails are swept
+    one at a time, for their own first counterexamples.  The agent set
+    is in the key because it fixes the frames swept (``DefBox`` holds
+    with two agents but not with three), and the atom set because it
+    fixes the valuations: a group scans exactly the valuation space of
+    each of its instances, no more.
     """
     if models not in ("btac", "kripke"):
         raise ValueError(f"models must be 'btac' or 'kripke', not {models!r}")
@@ -549,14 +573,18 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
         raise ValueError(f"schema {name} has no instances at max_k {max_k}")
     frames_of = (solver.moment_frames if models == "btac"
                  else solver.general_frames)
-    report = {"schema": name, "models": models, "instances": 0,
-              "counterexamples": []}
-    for inst in instances:
-        report["instances"] += 1
-        hit = _sweep_frames(inst, max_points, frames_of)
-        if hit is not None:
-            frame, v, point = hit
-            report["counterexamples"].append(
-                {"instance": syntax.pretty(inst), "frame": frame,
-                 "valuation": v, "point": point})
-    return report
+    groups = {}
+    for j, inst in enumerate(instances):
+        key = (frozenset(syntax.agents(inst)), frozenset(syntax.atoms(inst)))
+        groups.setdefault(key, []).append(j)
+    hits = [None] * len(instances)
+    for group in groups.values():
+        if _sweep_frames(conjoin([instances[j] for j in group]), max_points,
+                         frames_of) is not None:
+            for j in group:
+                hits[j] = _sweep_frames(instances[j], max_points, frames_of)
+    return {"schema": name, "models": models, "instances": len(instances),
+            "counterexamples": [
+                {"instance": syntax.pretty(inst), "frame": hit[0],
+                 "valuation": hit[1], "point": hit[2]}
+                for inst, hit in zip(instances, hits) if hit is not None]}

@@ -1,7 +1,7 @@
 """Shared test utilities: formula generators, small-model helpers, the
 recursive reference parser and translation, the scalar references of the
 bit-parallel inner loops, the direct permutation-property checks, the
-frame-at-a-time oracle and sweep, measures that only the tests read,
+frame-at-a-time oracle, sweep and audit, measures that only the tests read,
 and the shared inputs of the derivation and translation checks."""
 
 import itertools
@@ -17,7 +17,7 @@ from stitkit.kripke import (KripkeModel, _agent_cell, _class_lookup,
 from stitkit.solver import (ENGINE_MAX_LEAVES, ORACLE_MAX_WORLDS,
                             InconclusiveError, SatResult, SolverConfig,
                             _check_agents, _frame_model, _subsets_desc,
-                            general_frames)
+                            general_frames, moment_frames)
 from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
                             Implies, Not, Or, PosCstit, SyntaxError_,
                             conjoin, length)
@@ -616,6 +616,30 @@ def reference_sweep_frames(f, max_points, frames_of):
             if hit is not None:
                 return frame, hit[0], hit[1]
     return None
+
+
+# instances for axioms.semantic_audit in place of a schema family, in
+# four (agents, atoms) groups met in turn: {0} and {0, 1} over p, none
+# over p and q, none over q; the first instance of each of the first
+# three groups is valid, and an invalid one comes later
+MIXED_AUDIT = ["([0]p -> p)", "([]p <-> [1][0]p)", "(([]p & q) -> (p & q))",
+               "(p -> [0]p)", "([]q -> q)", "(<0>p -> [0]<0>p)",
+               "([1]p -> [0]p)", "((p & q) -> []p)", "(<0><1>p -> <1><0>p)"]
+
+
+def reference_audit(name, models, instances, max_points):
+    """The report of axioms.semantic_audit over instances, each swept on
+    its own by reference_sweep_frames."""
+    frames_of = moment_frames if models == "btac" else general_frames
+    counterexamples = []
+    for f in instances:
+        hit = reference_sweep_frames(f, max_points, frames_of)
+        if hit is not None:
+            counterexamples.append(
+                {"instance": syntax.pretty(f), "frame": hit[0],
+                 "valuation": hit[1], "point": hit[2]})
+    return {"schema": name, "models": models, "instances": len(instances),
+            "counterexamples": counterexamples}
 
 
 # -- measures only the tests read -----------------------------------------

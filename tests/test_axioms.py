@@ -9,10 +9,11 @@ from stitkit.axioms import (SYSTEMS, _PL_MAX_LETTERS, _pl_entails, canon,
                             parse_derivation, schema_instances,
                             semantic_audit)
 from stitkit.solver import SolverConfig
-from stitkit.syntax import Atom, Cstit, Not, Or, conjoin, parse, pretty
+from stitkit.syntax import (Atom, Cstit, Not, Or, agents, atoms, conjoin,
+                            parse, pretty)
 
-from helpers import (FIXTURES, PL_SHARED_STEPS, SIZED_SAT,
-                     exhaustive_formulas, random_corpus,
+from helpers import (FIXTURES, MIXED_AUDIT, PL_SHARED_STEPS, SIZED_SAT,
+                     exhaustive_formulas, random_corpus, reference_audit,
                      reference_pl_consequence, reference_sweep_frames)
 
 
@@ -275,11 +276,22 @@ def _with_justification(number, justification):
      "justification: schema InclBox does not read l, psi"),
     (3, 'AX InclBox k=1 i=0 phi="(p | ~p)"', "malformed justification: "
      "schema InclBox does not read k"),
-    # an empty quoted parameter is an empty formula, not a number
+    # an empty quoted slot is an empty formula
     (3, 'AX InclBox i=0 phi=""', "malformed justification: unexpected "
      "token eof (at position 0)"),
+    # a quoted k or agent, or a number for a slot, is refused by name
     (3, 'AX InclBox i=0 phi="(p | ~p)" k=""', "malformed justification: "
-     "unexpected token eof (at position 0)"),
+     "AX parameter k takes a number, not a quoted formula"),
+    (3, 'AX AIA k="1" phi0="p" phi1="p"', "malformed justification: "
+     "AX parameter k takes a number, not a quoted formula"),
+    (3, 'AX AIA k="p" phi0="p" phi1="p"', "malformed justification: "
+     "AX parameter k takes a number, not a quoted formula"),
+    (3, 'AX InclBox i="0" phi="(p | ~p)"', "malformed justification: "
+     "AX parameter i takes a number, not a quoted formula"),
+    (3, 'AX InclBox i=0 phi=1', "malformed justification: AX parameter "
+     "phi takes a quoted formula, not a number"),
+    (3, 'AX AIA k=1 phi0="p" phi1=0', "malformed justification: AX "
+     "parameter phi1 takes a quoted formula, not a number"),
 ])
 def test_every_argument_is_read(number, justification, message):
     # a kind the rule does not know, or an argument beyond those the
@@ -472,6 +484,37 @@ def test_sweep_matches_frame_at_a_time_reference():
                                                      frames_of), pretty(f)
                 sizes.add(hit and hit[0].n_points)
     assert sizes == {None, 1, 2, 3, 4}
+
+
+def test_audit_groups_match_instance_at_a_time(monkeypatch):
+    # the groups of MIXED_AUDIT are swept together, and the first of each
+    # valid, so a counterexample after it shows only in a group that fails
+    instances = [parse(t) for t in MIXED_AUDIT]
+    monkeypatch.setattr(axioms, "schema_instances",
+                        lambda name, max_k, grid: instances)
+    for models in ("btac", "kripke"):
+        rep = semantic_audit("GPerm", 2, models=models, max_points=3)
+        assert rep == reference_audit("GPerm", models, instances, 3)
+        assert [c["instance"] for c in rep["counterexamples"]] == [
+            pretty(instances[k]) for k in (3, 6, 7)]
+
+
+def test_audit_sweeps_each_group_once(monkeypatch):
+    # the 72 GPerm instances over one formula fall in as many groups as
+    # agent sets, and no group fails
+    swept = []
+
+    def sweep(f, max_points, frames_of):
+        swept.append(frozenset(agents(f)))
+        return sweep_frames(f, max_points, frames_of)
+
+    sweep_frames = axioms._sweep_frames
+    monkeypatch.setattr(axioms, "_sweep_frames", sweep)
+    rep = semantic_audit("GPerm", 2, grid=[parse("p")], models="kripke")
+    assert rep["instances"] == 72 and rep["counterexamples"] == []
+    groups = {(frozenset(agents(f)), frozenset(atoms(f)))
+              for f in schema_instances("GPerm", 2, [parse("p")])}
+    assert len(swept) == len(set(swept)) == len(groups) == 3
 
 
 def test_semantic_audit_rejects_unknown_models():

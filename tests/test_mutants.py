@@ -19,7 +19,7 @@ come from its own cell, against ``oracle(f, 4)``; and a disjunction of
 the bound only (its 56 valuation bits at 4 worlds are beyond the
 oracle's budget).
 
-Two more slices check ``axioms`` and ``translate``.  The six fixture
+Three more slices check ``axioms`` and ``translate``.  The six fixture
 derivations must be accepted and every 8th of criterion 6's single-line
 negations rejected; then each derivation of ``PL_SHARED_STEPS`` must get
 its own verdict after one whose PL step has its premises or its
@@ -28,7 +28,10 @@ check reaches, so the negations alone never ask the PL memo for a seen
 conclusion under other premises.)  And ``oracle(f, 2)`` must give ``f``
 and its translation the same verdict, on the inputs of the two
 satisfiability tests of tests/test_translate.py (through ``tr_prime``
-with its polarity inputs, and through ``tr``).
+with its polarity inputs, and through ``tr``).  Last, ``semantic_audit``
+over the instances of ``MIXED_AUDIT``, three of whose groups hold a
+counterexample after a valid first instance, must give the report of
+``reference_audit``, one instance at a time, over both model classes.
 """
 
 import os
@@ -114,6 +117,10 @@ MUTANTS = {
         'partial(PosCstit if rule != "NEC" else Cstit, a)'),
     "positive_definition_reversed": (
         "translate.py", "return Implies(s, body)", "return Implies(body, s)"),
+    # an audit group swept as its first instance alone
+    "audit_sweeps_first_of_group": (
+        "axioms.py", "conjoin([instances[j] for j in group])",
+        "conjoin([instances[j] for j in group[:1]])"),
 }
 
 # exit 3 on the first wrong answer, so that any other exception (exit 1)
@@ -121,8 +128,9 @@ MUTANTS = {
 CHECK = """
 import importlib.resources
 import sys
-from helpers import (FIXTURES, PL_SHARED_STEPS, TR_PRIME_POLARITY,
-                     exhaustive_formulas, line_negations, random_corpus)
+from helpers import (FIXTURES, MIXED_AUDIT, PL_SHARED_STEPS,
+                     TR_PRIME_POLARITY, exhaustive_formulas, line_negations,
+                     random_corpus, reference_audit)
 from stitkit import axioms, solver, syntax, translate
 from stitkit.kripke import mc
 
@@ -195,6 +203,15 @@ for tr, inputs in ((translate.tr_prime, cstit_only),
             print("translation", syntax.pretty(f))
             sys.exit(3)
         checked += 1
+
+instances = [syntax.parse(t) for t in MIXED_AUDIT]
+axioms.schema_instances = lambda name, max_k, grid: instances
+for models in ("btac", "kripke"):
+    if (axioms.semantic_audit("GPerm", 2, models=models, max_points=3)
+            != reference_audit("GPerm", models, instances, 3)):
+        print("audit", models)
+        sys.exit(3)
+    checked += 1
 print(checked)
 """
 
@@ -218,7 +235,7 @@ def test_unmutated_copy_passes(tmp_path):
     out = _run(tmp_path)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) == (2367 + 82 + 1 + 226 + 1 + 6 + 43 + 8 + 30
-                               + 25)
+                               + 25 + 2)
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
