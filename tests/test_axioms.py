@@ -487,8 +487,9 @@ def test_sweep_matches_frame_at_a_time_reference():
 
 
 def test_audit_groups_match_instance_at_a_time(monkeypatch):
-    # the groups of MIXED_AUDIT are swept together, and the first of each
-    # valid, so a counterexample after it shows only in a group that fails
+    # each group of MIXED_AUDIT is swept as one, and three of them hold a
+    # counterexample after a valid first instance, which only the sweep of
+    # the whole group finds
     instances = [parse(t) for t in MIXED_AUDIT]
     monkeypatch.setattr(axioms, "schema_instances",
                         lambda name, max_k, grid: instances)
