@@ -360,6 +360,19 @@ _NUMBER_PARAMS = {"i", "l", "m", "n", "k"}
 _SLOT_RE = re.compile(r"(?:phi|psi)[0-9]*")
 
 
+def check_param(where, key, number):
+    """Refuse a number for a formula slot and anything else for a number
+    parameter: the one rule of AX lines and ``stitkit axiom --bind``.
+    ``number`` says whether the value is a number; ``where`` names the
+    parameter's source in the message."""
+    if not number and key in _NUMBER_PARAMS:
+        raise ValueError(f"{where} {key} takes a number, not a quoted "
+                         f"formula")
+    if number and _SLOT_RE.fullmatch(key):
+        raise ValueError(f"{where} {key} takes a quoted formula, not a "
+                         f"number")
+
+
 def _parse_ax_args(args):
     name, *rest = args or ("",)
     rest = " ".join(rest)
@@ -372,12 +385,7 @@ def _parse_ax_args(args):
         if key in seen:
             raise ValueError(f"AX parameter {key} given twice")
         seen.add(key)
-        if fml is not None and key in _NUMBER_PARAMS:
-            raise ValueError(f"AX parameter {key} takes a number, not a "
-                             f"quoted formula")
-        if num is not None and _SLOT_RE.fullmatch(key):
-            raise ValueError(f"AX parameter {key} takes a quoted formula, "
-                             f"not a number")
+        check_param("AX parameter", key, num is not None)
         if fml is not None:
             bindings[key] = _parse_formula(fml)
         elif key == "k":

@@ -25,12 +25,10 @@ def _report(args, payload, human):
 def _load_model(path):
     with open(path) as fh:
         text = fh.read()
-    if next(kripke.model_lines(text), "") == "btac":
-        m = btac.parse_model(text)
-        bad = btac.validate_model(m)
-    else:
-        m = kripke.parse_model(text)
-        bad = kripke.validate_model(m)
+    if next(kripke.model_lines(text), "") != "btac":
+        return kripke.parse_model(text)
+    m = btac.parse_model(text)
+    bad = btac.validate_model(m)
     if bad:
         raise ValueError("invalid model: " + "; ".join(bad))
     return m
@@ -138,7 +136,10 @@ def cmd_axiom(args):
         key, _, value = item.partition("=")
         if not value:
             raise ValueError(f"--bind needs key=value, got {item!r}")
-        if value.lstrip("-").isdigit():
+        digits = value.removeprefix("-")
+        number = digits.isascii() and digits.isdigit()
+        axioms.check_param("--bind", key, number)
+        if number:
             agents[key] = int(value)
         else:
             bindings[key] = syntax.parse(value)

@@ -31,7 +31,8 @@ For the converse, assume GPP:
 
 components is the one union-find for settledness classes, used by
 box_classes and the solver's frames.  unmet_per_class tests each class
-for check_gpp, validate_model and those frames; BT+AC independence runs
+for the check that builds every KripkeModel and for those frames, so a
+model without GPP is never built; BT+AC independence runs
 unmet_choices at each moment.  A padded agent drops out: its cell is the
 whole class.  check_partition checks relations and BT+AC choices alike.
 
@@ -60,6 +61,11 @@ class KripkeModel:
     frozensets of worlds.  ``agent_universe`` is the size of the agent
     set; it must exceed every stored agent index, and defaults to one
     past the largest stored agent (at least 1).
+
+    Building one raises ValueError unless each relation partitions the
+    worlds and no settledness class has an unmet choice of one cell per
+    stored agent (GPP; rectangularity on a MomentModel).  The first
+    unmet choice in unmet_per_class order is reported.
     """
 
     worlds: tuple
@@ -87,6 +93,21 @@ class KripkeModel:
             if bad:
                 raise ValueError(f"valuation of {p} uses unknown worlds "
                                  f"{sorted(bad)}")
+        agents = sorted(self.relations)
+        bad = [v for a in agents for v in check_partition(
+            known, self.relations[a], f"agent {a}", "worlds")]
+        if bad:
+            raise ValueError("; ".join(bad))
+        if len(agents) < 2:  # no choice of cells can be unmet
+            return
+        unmet = next(unmet_per_class([self.relations[a] for a in agents],
+                                     box_classes(self)), None)
+        if unmet is not None:
+            label = ("partitions not rectangular"
+                     if isinstance(self, MomentModel)
+                     else "permutation property fails")
+            text = " ".join("{" + " ".join(sorted(c)) + "}" for c in unmet)
+            raise ValueError(f"{label}: {text} do not meet")
 
     def cell(self, agent, w):
         """Equivalence class of w under the stored agent's relation."""
@@ -108,9 +129,14 @@ class MomentModel(KripkeModel):
 def check_partition(whole, cells, label, noun):
     """Violations of ``cells`` being a partition of ``whole``, with the
     members called ``noun`` in the messages."""
+    whole = set(whole)
+    # nonempty cells whose sizes sum to the size of their union, which
+    # is whole, are disjoint and cover it: accept without the walk
+    if (all(cells) and sum(map(len, cells)) == len(whole)
+            and whole == set().union(*cells)):
+        return []
     out = []
     seen = set()
-    whole = set(whole)
     for c in cells:
         if not c:
             out.append(f"{label}: empty cell")
@@ -125,19 +151,6 @@ def check_partition(whole, cells, label, noun):
     missing = whole - seen
     if missing:
         out.append(f"{label}: {noun} {sorted(missing)} in no cell")
-    return out
-
-
-def check_equivalence(m):
-    """Violations of each stored relation being an equivalence relation.
-
-    Relations are stored as partitions, so this amounts to checking the
-    partition shape.
-    """
-    out = []
-    for a in sorted(m.relations):
-        out.extend(check_partition(m.worlds, m.relations[a], f"agent {a}",
-                                   "worlds"))
     return out
 
 
@@ -221,27 +234,6 @@ def unmet_per_class(parts, classes):
                                   for cells in parts], cls)
 
 
-def _unmet(m):
-    return unmet_per_class([m.relations[a] for a in sorted(m.relations)],
-                           box_classes(m))
-
-
-def check_gpp(m):
-    """General permutation property violations, as tuples of cells.
-
-    Each tuple holds one cell per stored agent, in agent order, all in
-    one settledness class and with no world in common; classes come in
-    box_classes order.  Padded agents have the whole class as their
-    cell, so they cannot make a choice unmet.  On a MomentModel the one
-    class is the world set, so this checks rectangularity.  Relations
-    must already be equivalence relations.
-    """
-    eq = check_equivalence(m)
-    if eq:
-        raise ValueError("not equivalence relations: " + "; ".join(eq))
-    return list(_unmet(m))
-
-
 def mc(m, w, f):
     """Model checking at a world; dstit goes through interdefinability."""
     if w not in m.worlds:
@@ -279,15 +271,13 @@ def mc(m, w, f):
 def filtrate(m, f):
     """Filtration through the subformulas of f, with its world map.
 
-    Requires a generated model (single settledness class) satisfying the
-    permutation property.  Returns the quotient, whose worlds are named
-    q0, q1, ... in order of first appearance, and the map from each
-    original world to the quotient world it collapsed into.
+    Requires a generated model (single settledness class).  Returns the
+    quotient, whose worlds are named q0, q1, ... in order of first
+    appearance, and the map from each original world to the quotient
+    world it collapsed into.
     """
     if len(box_classes(m)) != 1:
         raise ValueError("filtrate requires a generated model")
-    if check_gpp(m):
-        raise ValueError("filtrate requires the permutation property")
     # Work over the dstit-expanded formula so the relations see the
     # [i]- and []-components hidden inside {i}-subformulas.  A {i} node
     # costs 5 in the length measure but expands to at most 4 distinct
@@ -326,25 +316,6 @@ def filtrate(m, f):
                       {p: frozenset(ws) for p, ws in valuation.items()},
                       m.agent_universe)
     return out, world_map
-
-
-def validate_model(m):
-    """Violations of the model's class, as human-readable strings.
-
-    Both classes need partitions.  A MomentModel needs them to meet
-    rectangularly and a KripkeModel needs the permutation property,
-    which check_gpp tests as the same condition per settledness class;
-    the first unmet choice of cells is reported.
-    """
-    out = check_equivalence(m)
-    if out:
-        return out
-    label = ("partitions not rectangular" if isinstance(m, MomentModel)
-             else "permutation property fails")
-    for cells in itertools.islice(_unmet(m), 1):
-        text = " ".join("{" + " ".join(sorted(c)) + "}" for c in cells)
-        out.append(f"{label}: {text} do not meet")
-    return out
 
 
 # -- text format ---------------------------------------------------------
@@ -440,11 +411,7 @@ def parse_model(text):
                 raise ValueError(f"{relkey} {a} uses unknown worlds "
                                  f"{sorted(c - known)}")
     cls = KripkeModel if kind == "kripke" else MomentModel
-    m = cls(worlds, relations, valuation, universe)
-    eq = check_equivalence(m)
-    if eq:
-        raise ValueError("; ".join(eq))
-    return m
+    return cls(worlds, relations, valuation, universe)
 
 
 def format_model(m):

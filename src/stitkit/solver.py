@@ -180,7 +180,8 @@ def sat(f, cfg=None):
 
     def order(r):  # bits from leaf 0 on: the group and profile order
         return bin(r | top)[:2:-1]
-    bound = 2 ** syntax.length(f)
+    size = syntax.length(f)
+    bound = 2 ** size
     stats = {"engine": "types", "types": len(rows), "groups": 0,
              "combos": 0, "pruned": 0, "bound": bound}
 
@@ -215,7 +216,7 @@ def sat(f, cfg=None):
                 raise AssertionError("witness exceeds the 2^length bound")
             stats["witness_worlds"] = len(model.worlds)
             if len(agents) < 2:
-                q = stats["quadratic_bound"] = syntax.length(f) ** 2
+                q = stats["quadratic_bound"] = size ** 2
                 stats["quadratic_ok"] = len(model.worlds) <= q
             return SatResult("SAT", (model, world), stats)
     return SatResult("UNSAT", None, stats)

@@ -12,8 +12,8 @@ from itertools import count
 
 from stitkit import kernel, syntax
 from stitkit.axioms import canon
-from stitkit.kripke import (KripkeModel, _agent_cell, _class_lookup,
-                            box_classes, check_equivalence, mc)
+from stitkit.kripke import (KripkeModel, box_classes, check_partition,
+                            components, mc)
 from stitkit.solver import (ENGINE_MAX_LEAVES, ORACLE_MAX_WORLDS,
                             InconclusiveError, SatResult, SolverConfig,
                             _check_agents, _frame_model, _subsets_desc,
@@ -389,7 +389,7 @@ def reference_search_group(cand, span, agents, profiles, amask, pairs,
 
 
 # -- direct permutation-property checks, references for the per-class
-# rectangularity test in kripke.check_gpp and solver._frames ----------------
+# rectangularity test that builds every KripkeModel and solver._frames -----
 
 def _cell_of(cells, i):
     for c in cells:
@@ -437,34 +437,44 @@ def reference_frame_gpp(parts, n):
     return True
 
 
-def reference_check_gpp(m):
-    """General permutation property violations, as (w, v, l, m, n) tuples.
+def reference_check_gpp(worlds, relations, agent_universe):
+    """General permutation property violations of a frame given by its
+    worlds, its relations (agent -> cells) and its agent universe, as
+    (w, v, l, m, n) tuples.
 
     Quantifies l, m, n over the stored agents plus, when the universe is
     larger, a single representative padded agent (padded agents all act
-    alike).  Relations must already be equivalence relations.
+    alike), whose cell is the settledness class: a component of the
+    stored relations, or every world below two stored agents.  Relations
+    must be equivalence relations.
     """
-    eq = check_equivalence(m)
-    if eq:
-        raise ValueError("not equivalence relations: " + "; ".join(eq))
-    stored = sorted(m.relations)
+    for a, cells in relations.items():
+        eq = check_partition(worlds, cells, f"agent {a}", "worlds")
+        if eq:
+            raise ValueError("not equivalence relations: " + "; ".join(eq))
+    stored = sorted(relations)
     agents = list(stored)
-    if m.agent_universe > len(stored):
-        padded = next(a for a in range(m.agent_universe)
+    if agent_universe > len(stored):
+        padded = next(a for a in range(agent_universe)
                       if a not in set(stored))
         agents.append(padded)
-    class_of = _class_lookup(m)
+    classes = ([set(worlds)] if len(stored) < 2 else components(
+        worlds, (c for a in stored for c in relations[a])))
+
+    def cell(a, w):
+        return next(c for c in relations.get(a, classes) if w in c)
+
     out = []
     for l in agents:
         for mm in agents:
-            for w in m.worlds:
-                for u in _agent_cell(m, l, w, class_of):
-                    for v in _agent_cell(m, mm, u, class_of):
+            for w in worlds:
+                for u in cell(l, w):
+                    for v in cell(mm, u):
                         for n in agents:
-                            need = set(_agent_cell(m, n, w, class_of))
+                            need = set(cell(n, w))
                             for i in agents:
                                 if i != n:
-                                    need &= _agent_cell(m, i, v, class_of)
+                                    need &= cell(i, v)
                             if not need:
                                 out.append((w, v, l, mm, n))
     return sorted(set(out))

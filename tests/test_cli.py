@@ -194,6 +194,15 @@ def test_axiom(capsys):
     assert cli.main(["axiom", "AIA", "--k", "1", "--bind", "phi0=p",
                      "--bind", "phi1=q", "--bind", "phi2=r"]) == 2
     assert "does not read phi2" in capsys.readouterr().err
+    # the key decides between a number and a formula, as on AX lines, and
+    # a number has ASCII digits only
+    assert cli.main(["axiom", "S5i-T", "--bind", "i=\u0662",
+                     "--bind", "phi=p"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --bind i takes a number, not a quoted formula\n"
+    assert cli.main(["axiom", "S5Box-T", "--bind", "phi=1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --bind phi takes a quoted formula, not a number\n"
 
 
 def test_oracle(capsys):

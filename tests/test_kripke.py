@@ -4,8 +4,8 @@ import pytest
 
 from stitkit import btac, kripke, syntax
 from stitkit.kripke import (KripkeModel, MomentModel, box_classes,
-                            check_equivalence, check_gpp, filtrate,
-                            format_model, mc, parse_model, validate_model)
+                            check_partition, components, filtrate,
+                            format_model, mc, parse_model)
 from stitkit.syntax import parse, pretty, subformulas
 
 from helpers import generated_submodel, random_corpus, reference_check_gpp
@@ -97,7 +97,8 @@ def test_mc_finds_classes_at_most_once(monkeypatch):
         return box_classes(m)
 
     monkeypatch.setattr(kripke, "box_classes", counting)
-    m = parse_model(TWO_CLASS.replace("agents=2", "agents=3"))
+    text = TWO_CLASS.replace("agents=2", "agents=3")
+    m = parse_model(text)
     busy = parse("(([]p | <>q) & ([2]p | {2}~q | {0}[]p | <2>[]q))")
     quiet = parse("([0]p & ~([1]q & p))")
     for w in m.worlds:
@@ -106,8 +107,9 @@ def test_mc_finds_classes_at_most_once(monkeypatch):
         assert len(calls) == 1
         mc(m, w, quiet)
         assert len(calls) == 1
+    # building the model checks its frame with one box_classes call
     del calls[:]
-    assert check_gpp(m) == []
+    parse_model(text)
     assert len(calls) == 1
 
 
@@ -119,32 +121,32 @@ def test_single_stored_agent_box_is_universal():
 
 
 def test_check_gpp():
-    good = parse_model(PRODUCT)
-    assert check_gpp(good) == []
-    bad = KripkeModel(
-        ("a", "b", "c"),
-        {0: ({"a", "b"}, {"c"}), 1: ({"b", "c"}, {"a"})},
-        {}, 2)
-    assert check_gpp(bad)
+    # a model without the permutation property is refused when built
+    parse_model(PRODUCT.replace("moment", "kripke").replace("part", "rel"))
+    with pytest.raises(ValueError, match=r"^permutation property fails: "
+                                         r"\{c\} \{a\} do not meet$"):
+        KripkeModel(("a", "b", "c"),
+                    {0: ({"a", "b"}, {"c"}), 1: ({"b", "c"}, {"a"})},
+                    {}, 2)
 
 
 def test_check_rectangular():
     # on a MomentModel the one settledness class is the world set
-    m = parse_model(PRODUCT)
-    assert check_gpp(m) == []
-    bad = MomentModel(("a", "b"),
-                      {0: ({"a"}, {"b"}), 1: ({"a"}, {"b"})}, {})
-    assert check_gpp(bad) == [(frozenset("a"), frozenset("b")),
-                              (frozenset("b"), frozenset("a"))]
-    assert validate_model(bad) == [
-        "partitions not rectangular: {a} {b} do not meet"]
-    with pytest.raises(ValueError):
-        filtrate(bad, parse("p"))
+    parse_model(PRODUCT)
+    parts = {0: ({"a"}, {"b"}), 1: ({"a"}, {"b"})}
+    assert list(kripke.unmet_per_class(
+        [[frozenset(c) for c in parts[a]] for a in parts],
+        [frozenset("ab")])) == [(frozenset("a"), frozenset("b")),
+                                (frozenset("b"), frozenset("a"))]
+    with pytest.raises(ValueError, match=r"^partitions not rectangular: "
+                                         r"\{a\} \{b\} do not meet$"):
+        MomentModel(("a", "b"), parts, {})
 
 
 def _random_kripke(rng):
-    """A KripkeModel over 1-6 worlds with 0-3 stored agents, each cell
-    label drawn from a few, and sometimes padded agents."""
+    """The worlds, relations and agent universe of a KripkeModel over 1-6
+    worlds with 0-3 stored agents, each cell label drawn from a few, and
+    sometimes padded agents."""
     worlds = tuple(f"w{i}" for i in range(rng.randint(1, 6)))
     stored = rng.sample(range(4), rng.randint(0, 3))
     relations = {}
@@ -155,32 +157,51 @@ def _random_kripke(rng):
             cells.setdefault(rng.randrange(labels), set()).add(w)
         relations[a] = tuple(cells.values())
     universe = max(stored, default=0) + 1 + rng.randint(0, 2)
-    return KripkeModel(worlds, relations, {}, universe)
+    return worlds, relations, universe
 
 
 def test_check_gpp_matches_reference():
+    # a random frame is built exactly when the direct check finds no
+    # violation, and a refused one names an unmet choice of cells
     rng = random.Random(41)
     verdicts = set()
     for _ in range(500):
-        m = _random_kripke(rng)
-        new = check_gpp(m)
-        assert (new == []) == (reference_check_gpp(m) == []), \
-            format_model(m)
-        verdicts.add((len(m.relations), new == []))
-        # every reported choice is one cell per stored agent, in one
-        # class, with nothing in common
-        for cells in new:
-            assert len(cells) == len(m.relations)
-            assert not frozenset.intersection(*cells)
-            assert any(all(c <= cls for c in cells)
-                       for cls in box_classes(m))
+        worlds, relations, universe = _random_kripke(rng)
+        ok = reference_check_gpp(worlds, relations, universe) == []
+        verdicts.add((len(relations), ok))
+        if ok:
+            KripkeModel(worlds, relations, {}, universe)
+            continue
+        with pytest.raises(ValueError) as err:
+            KripkeModel(worlds, relations, {}, universe)
+        message = str(err.value)
+        assert message.startswith("permutation property fails: ") \
+            and message.endswith(" do not meet"), message
+        # the reported choice is one cell per stored agent, in agent
+        # order, in one class, with nothing in common
+        cells = kripke.cells_field(message)
+        stored = sorted(relations)
+        assert len(cells) == len(stored), message
+        assert all(c in map(frozenset, relations[a])
+                   for c, a in zip(cells, stored)), message
+        assert not frozenset.intersection(*cells), message
+        assert any(all(c <= cls for c in cells) for cls in components(
+            worlds, (c for a in stored for c in relations[a]))), message
     # both verdicts occur among the models with two or three stored agents
     assert {(2, True), (2, False), (3, True), (3, False)} <= verdicts
 
 
 def test_equivalence_checker():
-    m = parse_model(PRODUCT)
-    assert check_equivalence(m) == []
+    whole = ("a", "b", "c")
+    assert check_partition(whole, (frozenset("ab"), frozenset("c")),
+                           "agent 0", "worlds") == []
+    # cell sizes that sum to the world count do not make a partition
+    assert check_partition(whole, (frozenset("ab"), frozenset("b")),
+                           "agent 0", "worlds") == [
+        "agent 0: worlds ['b'] in two cells",
+        "agent 0: worlds ['c'] in no cell"]
+    assert check_partition(whole, (frozenset("abc"), frozenset()),
+                           "agent 0", "worlds") == ["agent 0: empty cell"]
 
 
 @pytest.mark.parametrize("kind", ["kripke", "btac"])
@@ -194,8 +215,9 @@ def test_equivalence_checker():
 def test_partition_messages(kind, cells, message):
     # a Kripke relation and a BT+AC choice go through one partition check
     if kind == "kripke":
-        m = KripkeModel(("h1", "h2", "h3"), {0: cells}, {})
-        got, label, noun = check_equivalence(m), "agent 0", "worlds"
+        with pytest.raises(ValueError) as err:
+            KripkeModel(("h1", "h2", "h3"), {0: cells}, {})
+        got, label, noun = [str(err.value)], "agent 0", "worlds"
     else:
         m = btac.BtacModel(("m1",), {"m1": None}, {(0, "m1"): cells}, {},
                            {"m1": 3})

@@ -8,7 +8,9 @@ the criterion-4 corpus through ``sat`` on the copy, against
 copy must pass.  The mutants of ``solver``'s type search are caught on
 the ``sat`` side, those of the kernel, of ``first_hit`` and of the
 oracle's partitions on the brute force side, those of ``mc`` and
-``expand_dstit`` by the re-check of ``sat``'s witness.
+``expand_dstit`` by the re-check of ``sat``'s witness.  A witness whose
+frame is refused when it is built, as a ``KripkeModel`` without the
+permutation property is, counts as caught too.
 
 The witness of a formula where fewer than two agents occur is held to
 ``length(f)**2`` worlds as well, the single-agent small model, at
@@ -123,10 +125,11 @@ MUTANTS = {
         "conjoin([instances[j] for j in group[:1]])"),
 }
 
-# exit 3 on the first wrong answer, so that any other exception (exit 1)
-# does not count as a catch
+# exit 3 on the first wrong answer or witness frame refused when built,
+# so that any other exception (exit 1) does not count as a catch
 CHECK = """
 import importlib.resources
+import re
 import sys
 from helpers import (FIXTURES, MIXED_AUDIT, PL_SHARED_STEPS,
                      TR_PRIME_POLARITY, exhaustive_formulas, line_negations,
@@ -145,6 +148,10 @@ corpus = list(exhaustive_formulas(12))[::40] + [
 single = list(exhaustive_formulas(10, agents=(0,)))[::40] + [
     syntax.parse("(p & ~[0]p & [0]q & <>~[0]q)")]
 disjunction = syntax.parse("(" + " | ".join(f"p{i}" for i in range(14)) + ")")
+# the messages of a KripkeModel refused when built: a relation that is no
+# partition, or a choice of cells that does not meet
+REFUSED = re.compile(r"agent [0-9]+: |partitions not rectangular: "
+                     r"|permutation property fails: ")
 checked = 0
 
 
@@ -154,6 +161,11 @@ def check(f, cfg, bound, want=None):
         res = solver.sat(f, cfg)
         want = want or solver.oracle(f, 4, cfg).verdict
     except AssertionError as e:  # the witness re-checks of sat and oracle
+        print(e, syntax.pretty(f))
+        sys.exit(3)
+    except ValueError as e:  # the frame check of every witness built
+        if not REFUSED.match(str(e)):
+            raise
         print(e, syntax.pretty(f))
         sys.exit(3)
     if res.verdict != want:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -65,6 +66,20 @@ def test_witnesses_verify_and_fit_bound():
             model, world = res.witness
             assert mc(model, world, f), pretty(f)
             assert len(model.worlds) <= 2 ** length(f)
+
+
+def test_three_agents_match_oracle():
+    # every formula of length <= 12 where all three agents occur; the
+    # check is one-sided, as a model may need more than four worlds
+    formulas = [f for f in exhaustive_formulas(12, agents=(0, 1, 2))
+                if len(syntax.agents(f)) == 3]
+    verdicts = collections.Counter()
+    for f in formulas:
+        got = sat(f, CFG3).verdict
+        assert not (got == "UNSAT"
+                    and oracle(f, 4, CFG3).verdict == "SAT"), pretty(f)
+        verdicts[got] += 1
+    assert verdicts == {"SAT": 588, "UNSAT": 36}
 
 
 def test_engine_matches_oracle_random():
@@ -340,19 +355,25 @@ def test_stats_reported():
 
 
 def test_witness_recheck_survives_optimize():
-    # Under -O a bare assert is stripped; the re-check must still raise.
-    code = ("from stitkit import solver, syntax\n"
+    # Under -O a bare assert is stripped; the re-check of a witness and
+    # the frame check of a model built must still raise.
+    code = ("from stitkit import kripke, solver, syntax\n"
             "solver.mc = lambda *a: False\n"
             "try:\n"
             "    solver.sat(syntax.parse('p'))\n"
             "except AssertionError:\n"
-            "    print('raised')\n")
+            "    print('raised')\n"
+            "try:\n"
+            "    kripke.MomentModel(('a', 'b'), {0: ({'a'}, {'b'}),\n"
+            "                                    1: ({'a'}, {'b'})}, {})\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["raised", "refused"]
 
 
 def _leaves(g):
