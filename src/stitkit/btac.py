@@ -8,6 +8,13 @@ in the text format attaches k distinct histories ending at that leaf.
 The default multiplicity is 1, which recovers the plain branch reading.
 
 Histories are auto-named h1, h2, ... in depth-first leaf order.
+
+A BtacModel is checked once, when it is built: the parent links form
+one tree, each stored choice partitions the histories through its
+moment, the choices of different agents at a moment meet (independence)
+and each valuation pair names a history through its moment.  Otherwise
+building it raises ValueError, so parse_model returns a model of the
+class or refuses the text.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ class BtacModel:
     ``choice`` maps (agent, moment) to a tuple of frozensets of history
     names; unstored pairs default to the vacuous single-cell choice.
     ``valuation`` maps an atom to a set of (moment, history) pairs.
+
+    Building one raises ValueError on the first tree-structure error,
+    else on all validate_model violations, joined by "; ".
     """
 
     moments: tuple
@@ -85,6 +95,9 @@ class BtacModel:
                 raise ValueError(f"histories {k} at {w} is below 1")
         self.histories = tuple(names)
         self._leaf_of = leaf_of
+        bad = validate_model(self)
+        if bad:
+            raise ValueError("; ".join(bad))
 
     def moments_of(self, h):
         """Moments a history passes through, root first."""
@@ -111,8 +124,10 @@ class BtacModel:
 
 
 def validate_model(m):
-    """All invariant violations, as human-readable strings.  H_w is built
-    once, by one walk per history, so a chain validates in linear time."""
+    """The class violations of a model's choices and valuation, as
+    human-readable strings; building a BtacModel runs it, so a built
+    model that has not been changed since has none.  H_w is built once,
+    by one walk per history, so a chain validates in linear time."""
     out = []
     through = {w: set() for w in m.moments}
     for h in m.histories:
@@ -220,7 +235,7 @@ def parse_model(text):
                 raise ValueError(f"bad line {ln!r}: agent {agent} is "
                                  f"negative")
             once(seen, f"choice {agent} {w}", ln)
-            choice[(agent, w)] = cells_field(body)
+            choice[(agent, w)] = cells_field(body, ln)
         elif ln.startswith("val "):
             (atom,), body = key_line(ln, "val P")
             once(seen, f"val {atom}", ln)
@@ -231,18 +246,5 @@ def parse_model(text):
             valuation[atom] = pairs
         else:
             raise ValueError(f"unrecognized line {ln!r}")
-    m = BtacModel(tuple(moments), parent, choice, valuation, multiplicity)
-    # parent has one key per moment line
-    known_h = set(m.histories)
-    for (a, w), cells in choice.items():
-        if w not in parent:
-            raise ValueError(f"choice at unknown moment {w!r}")
-        for c in cells:
-            if c - known_h:
-                raise ValueError(f"unknown histories {sorted(c - known_h)}")
-    for p, pairs in valuation.items():
-        for w, h in pairs:
-            if w not in parent or h not in known_h:
-                raise ValueError(f"val {p}: unknown index {w}/{h}")
-    return m
-
+    return BtacModel(tuple(moments), parent, choice, valuation,
+                     multiplicity)

@@ -27,11 +27,7 @@ def _load_model(path):
         text = fh.read()
     if next(kripke.model_lines(text), "") != "btac":
         return kripke.parse_model(text)
-    m = btac.parse_model(text)
-    bad = btac.validate_model(m)
-    if bad:
-        raise ValueError("invalid model: " + "; ".join(bad))
-    return m
+    return btac.parse_model(text)
 
 
 def _progress(stats):
@@ -251,7 +247,7 @@ def main(argv=None):
                              sort_keys=True))
         print(f"inconclusive: {e} ({_progress(e.stats)})", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -62,9 +62,10 @@ class KripkeModel:
     set; it must exceed every stored agent index, and defaults to one
     past the largest stored agent (at least 1).
 
-    Building one raises ValueError unless each relation partitions the
-    worlds and no settledness class has an unmet choice of one cell per
-    stored agent (GPP; rectangularity on a MomentModel).  The first
+    Building one raises ValueError unless there is a world, each
+    relation partitions the worlds and no settledness class has an unmet
+    choice of one cell per stored agent (GPP; rectangularity on a
+    MomentModel).  The first
     unmet choice in unmet_per_class order is reported.
     """
 
@@ -75,6 +76,8 @@ class KripkeModel:
 
     def __post_init__(self):
         self.worlds = tuple(self.worlds)
+        if not self.worlds:
+            raise ValueError("a model needs at least one world")
         self.relations = {a: tuple(frozenset(c) for c in cells)
                           for a, cells in self.relations.items()}
         self.valuation = {p: frozenset(ws)
@@ -357,8 +360,11 @@ def model_lines(text):
             yield ln
 
 
-def cells_field(body):
-    """The ``{...}`` cells of a model-file line, as frozensets."""
+def cells_field(body, ln):
+    """The ``{...}`` cells of a model-file line, as frozensets.  Text
+    outside the cells and nested braces are refused."""
+    if not re.fullmatch(r"(\s*\{[^{}]*\})*\s*", body):
+        raise ValueError(f"bad line {ln!r}: expected {{...}} cells only")
     return tuple(frozenset(chunk.split())
                  for chunk in re.findall(r"\{([^{}]*)\}", body))
 
@@ -395,7 +401,7 @@ def parse_model(text):
             (agent,), body = key_line(ln, relkey + " A")
             agent = int_field(agent, ln)
             once(seen, f"{relkey} {agent}", ln)
-            relations[agent] = cells_field(body)
+            relations[agent] = cells_field(body, ln)
         elif ln.startswith("val "):
             (atom,), body = key_line(ln, "val P")
             once(seen, f"val {atom}", ln)
@@ -404,12 +410,6 @@ def parse_model(text):
             raise ValueError(f"unrecognized line {ln!r}")
     if worlds is None:
         raise ValueError("missing worlds: line")
-    known = set(worlds)
-    for a, cells in relations.items():
-        for c in cells:
-            if c - known:
-                raise ValueError(f"{relkey} {a} uses unknown worlds "
-                                 f"{sorted(c - known)}")
     cls = KripkeModel if kind == "kripke" else MomentModel
     return cls(worlds, relations, valuation, universe)
 

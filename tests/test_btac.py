@@ -6,6 +6,7 @@ import pytest
 from helpers import random_corpus
 from stitkit import kernel
 from stitkit.btac import BtacModel, eval, parse_model, validate_model
+from stitkit.kripke import unmet_choices
 from stitkit.syntax import parse, pretty
 
 GARDEN = """
@@ -104,14 +105,17 @@ def test_validate_valuation_indices():
     moment m3 parent m1 histories 2
     val p: m1/h1 m2/h1 m3/h1 m3/h2 m2/h3 m1/h3
     """
-    m = parse_model(text)
-    # parse_model refuses unknown indices; validate_model reports them
-    m.valuation["q"] = frozenset({("m9", "h1"), ("m1", "h9")})
-    assert validate_model(m) == [
+    # parse_model and a model built directly are refused alike, with
+    # every violation in order
+    with pytest.raises(ValueError) as err:
+        parse_model(text + "val q: m9/h1 m1/h9")
+    assert str(err.value) == "; ".join([
         "val p: history h3 does not pass through m2",
         "val p: history h1 does not pass through m3",
         "val q: unknown index m1/h9",
-        "val q: unknown index m9/h1"]
+        "val q: unknown index m9/h1"])
+    with pytest.raises(ValueError, match="^val p: unknown index m1/h9$"):
+        BtacModel(("m1",), {"m1": None}, {}, {"p": {("m1", "h9")}})
 
 
 def test_validate_superadditivity_violation():
@@ -121,9 +125,11 @@ def test_validate_superadditivity_violation():
     choice 0 m1: {h1} {h2}
     choice 1 m1: {h1} {h2}
     """
-    m = parse_model(text)
-    assert any("independence" in v.lower() or "intersection" in v.lower()
-               or "superadditiv" in v.lower() for v in validate_model(m))
+    with pytest.raises(ValueError) as err:
+        parse_model(text)
+    assert str(err.value) == (
+        "superadditivity fails at m1 (agent 0: {h1}, agent 1: {h2}); "
+        "superadditivity fails at m1 (agent 0: {h2}, agent 1: {h1})")
 
 
 def test_validate_deep_chain_in_linear_time():
@@ -140,16 +146,19 @@ def test_validate_deep_chain_in_linear_time():
 
 
 def test_tree_structure_errors():
-    with pytest.raises(ValueError):
-        BtacModel(("m1", "m2"), {"m1": None, "m2": None}, {}, {})
+    # tree-structure errors come before the class violations
+    with pytest.raises(ValueError, match="^expected one root, found 2$"):
+        BtacModel(("m1", "m2"), {"m1": None, "m2": None},
+                  {(0, "m9"): ({"h1"},)}, {})
     with pytest.raises(ValueError):
         BtacModel(("m1",), {"m1": "m1"}, {}, {})
     # names a model-file line uses but no moment line or history defines
     for line, message in (
             ("val p: m1/h9", "val p: unknown index m1/h9"),
             ("val p: m9/h1", "val p: unknown index m9/h1"),
-            ("choice 0 m9: {h1}", "choice at unknown moment 'm9'"),
-            ("choice 0 m1: {h1 h9}", r"unknown histories \['h9'\]")):
+            ("choice 0 m9: {h1}", "choice 0 at unknown moment 'm9'"),
+            ("choice 0 m1: {h1 h9}", r"choice 0 at m1: histories \['h9'\] "
+                                     "outside the partitioned set")):
         with pytest.raises(ValueError, match=message):
             parse_model("btac\nmoment m1\n" + line)
     # one root and known parents, but a cycle of three moments hangs off
@@ -176,8 +185,9 @@ def test_moment_attribute_errors():
 
 def _random_tree_model(rng):
     """A tree of depth <= 2 and branching <= 3 with 1-2 histories per
-    leaf, a random partition of H_w for agents 0 and 1 at every moment
-    (not necessarily independent) and a random valuation of p and q."""
+    leaf, random partitions of H_w for agents 0 and 1 at every moment,
+    redrawn until they are independent, and a random valuation of p and
+    q."""
     moments, parent, level = ["m0"], {"m0": None}, ["m0"]
     for _ in range(2):
         nxt = []
@@ -194,11 +204,19 @@ def _random_tree_model(rng):
     choice, valuation = {}, {"p": set(), "q": set()}
     for w in moments:
         hw = sorted(tree.histories_through(w))
-        for a in (0, 1):
-            cells = {}
-            for h in hw:
-                cells.setdefault(rng.randrange(len(hw)), set()).add(h)
-            choice[(a, w)] = tuple(cells.values())
+        # at most three cells each, so that independent pairs are drawn
+        # often enough to redraw until one is
+        parts = None
+        while parts is None or next(unmet_choices(parts, frozenset(hw)),
+                                    None):
+            parts = []
+            for _ in (0, 1):
+                cells = {}
+                for h in hw:
+                    cells.setdefault(rng.randrange(min(len(hw), 3)),
+                                     set()).add(h)
+                parts.append(tuple(cells.values()))
+        choice[(0, w)], choice[(1, w)] = parts
         for pairs in valuation.values():
             pairs.update((w, h) for h in hw if rng.random() < 0.5)
     return BtacModel(moments, parent, choice, valuation, mult)

@@ -297,6 +297,14 @@ BAD_MODELS = {
     "btac-zero-histories": "btac\nmoment m1 histories 0\n",
     "btac-histories-on-inner-moment": "btac\nmoment m1 histories 3\n"
                                       "moment m2 parent m1\n",
+    # well-formed trees that only the BT+AC class check refuses
+    "btac-overlapping-choice": "btac\nmoment m1 histories 2\n"
+                               "choice 0 m1: {h1 h2} {h2}\n",
+    "btac-choices-do-not-meet": "btac\nmoment m1 histories 2\n"
+                                "choice 0 m1: {h1} {h2}\n"
+                                "choice 1 m1: {h1} {h2}\n",
+    "btac-val-history-off-moment": "btac\nmoment m1\nmoment m2 parent m1\n"
+                                   "moment m3 parent m1\nval p: m2/h2\n",
 }
 
 # files rejected for one line, which the message quotes: a key line
@@ -338,6 +346,15 @@ BAD_LINES = {
                                        "choice \u0660 m1: {h1}"),
     "btac-choice-agent-negative": ("btac\nmoment m1\n",
                                    "choice -1 m1: {h1}"),
+    # text outside the {...} cells, or cells inside cells
+    "kripke-rel-word-between-cells": ("kripke agents=1\nworlds: a b\n",
+                                      "rel 0: {a} x {b}"),
+    "kripke-rel-junk-after-cells": ("kripke agents=1\nworlds: a b\n",
+                                    "rel 0: {a b}, junk"),
+    "kripke-rel-nested-cells": ("kripke agents=1\nworlds: a b\n",
+                                "rel 0: {a {b}}"),
+    "btac-choice-word-between-cells": ("btac\nmoment m1 histories 2\n",
+                                       "choice 0 m1: {h1} oops {h2}"),
 }
 BAD_MODELS.update((name, head + line + "\n")
                   for name, (head, line) in BAD_LINES.items())

@@ -53,6 +53,12 @@ def test_valuation_of_unknown_worlds():
                     {"p": {"a"}, "q": {"c", "d"}})
 
 
+def test_no_worlds_refused():
+    for cls in (KripkeModel, MomentModel):
+        with pytest.raises(ValueError, match="at least one world"):
+            cls((), {}, {})
+
+
 def test_mc_matches_btac_on_product():
     m = parse_model(PRODUCT)
     bt = btac.parse_model("""
@@ -175,11 +181,12 @@ def test_check_gpp_matches_reference():
         with pytest.raises(ValueError) as err:
             KripkeModel(worlds, relations, {}, universe)
         message = str(err.value)
-        assert message.startswith("permutation property fails: ") \
-            and message.endswith(" do not meet"), message
+        body = message.removeprefix("permutation property fails: ")
+        assert body != message and body.endswith(" do not meet"), message
         # the reported choice is one cell per stored agent, in agent
         # order, in one class, with nothing in common
-        cells = kripke.cells_field(message)
+        cells = kripke.cells_field(body.removesuffix(" do not meet"),
+                                   message)
         stored = sorted(relations)
         assert len(cells) == len(stored), message
         assert all(c in map(frozenset, relations[a])
@@ -213,17 +220,20 @@ def test_equivalence_checker():
     (({"h1", "h2"},), "{noun} ['h3'] in no cell"),
 ])
 def test_partition_messages(kind, cells, message):
-    # a Kripke relation and a BT+AC choice go through one partition check
-    if kind == "kripke":
-        with pytest.raises(ValueError) as err:
+    # a Kripke relation and a BT+AC choice go through one partition
+    # check, which refuses either model when it is built
+    with pytest.raises(ValueError) as err:
+        if kind == "kripke":
             KripkeModel(("h1", "h2", "h3"), {0: cells}, {})
-        got, label, noun = [str(err.value)], "agent 0", "worlds"
-    else:
-        m = btac.BtacModel(("m1",), {"m1": None}, {(0, "m1"): cells}, {},
+        else:
+            btac.BtacModel(("m1",), {"m1": None}, {(0, "m1"): cells}, {},
                            {"m1": 3})
-        got = [v for v in btac.validate_model(m) if v.startswith("choice")]
-        label, noun = "choice 0 at m1", "histories"
-    assert got == [f"{label}: " + message.format(noun=noun)]
+    label, noun = (("agent 0", "worlds") if kind == "kripke"
+                   else ("choice 0 at m1", "histories"))
+    # an empty BT+AC cell also fails independence, reported after it
+    got = str(err.value).split("; ")
+    assert got[0] == f"{label}: " + message.format(noun=noun)
+    assert all(v.startswith("superadditivity fails") for v in got[1:])
 
 
 def random_product_model(rng, rows, cols, atoms=("p", "q")):

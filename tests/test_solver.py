@@ -357,7 +357,7 @@ def test_stats_reported():
 def test_witness_recheck_survives_optimize():
     # Under -O a bare assert is stripped; the re-check of a witness and
     # the frame check of a model built must still raise.
-    code = ("from stitkit import kripke, solver, syntax\n"
+    code = ("from stitkit import btac, kripke, solver, syntax\n"
             "solver.mc = lambda *a: False\n"
             "try:\n"
             "    solver.sat(syntax.parse('p'))\n"
@@ -367,13 +367,19 @@ def test_witness_recheck_survives_optimize():
             "    kripke.MomentModel(('a', 'b'), {0: ({'a'}, {'b'}),\n"
             "                                    1: ({'a'}, {'b'})}, {})\n"
             "except ValueError:\n"
+            "    print('refused')\n"
+            "try:\n"
+            "    btac.BtacModel(('m1',), {'m1': None},\n"
+            "                   {(0, 'm1'): ({'h1'}, {'h1'})},\n"
+            "                   {'p': {('m1', 'h9')}})\n"
+            "except ValueError:\n"
             "    print('refused')\n")
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "refused"]
+    assert out.stdout.split() == ["raised", "refused", "refused"]
 
 
 def _leaves(g):
