@@ -35,14 +35,19 @@ holds at most 1024 texts, least recently used first out, so a
 long-lived process that checks many different derivations does not keep
 every tree it ever read.
 
-The checker's own work is memoized the same way, by the identity of
-those shared trees: the canon form of a line is computed once per
-process for each distinct line tree, and the verdict of a PL step once
-for each distinct tuple of canon conclusion and canon premises.  Each
-memo holds the nodes its keys name, so an id is never reused while its
-entry lives, keeps at most 1024 entries, least recently used first out,
-and keeps only results: a step over too many letters, or a formula
-nested too deeply, raises again every time.
+The checker's own work is memoized the same way, keyed by the
+identity of those shared trees and by the value of the strings and ints
+beside them.  Once per process are computed: the canon form of a line
+for each distinct line tree; the verdict of a PL step for each distinct
+tuple of canon conclusion and canon premises; the verdict of an AX step
+for each distinct system, argument text and line tree; and the verdict
+of a NEC, RK or RKD step for each distinct rule, kind, agent, canon
+cited line and canon line.  Each memo holds the nodes its keys name, so
+an id is never reused while its entry lives, keeps at most 1024
+entries, least recently used first out, and keeps only results, a
+failure message among them: a step over too many letters, a malformed
+AX argument or a formula nested too deeply raises again every time.
+MP steps, which no fixture uses, are judged afresh each time.
 """
 
 from __future__ import annotations
@@ -303,38 +308,42 @@ def _pl_entails(premises, conclusion):
                    kernel.columns(ops, args, len(letters)))
 
 
-def _by_identity(fn):
-    """fn memoized by the identity of its arguments, for at most
-    _MEMO_SIZE argument tuples, least recently used first out.  An entry
-    holds its arguments, so no id in its key is reused while it lives;
-    only a result is kept, so an exception is raised again on every
-    call.  The memo is the wrapper's ``memo`` attribute."""
-    memo = OrderedDict()
+def _memo(key):
+    """A decorator: fn memoized by key(*args), for at most _MEMO_SIZE
+    keys, least recently used first out.  A key names a formula tree by
+    its identity (``id``) and a string, an int or a tuple of strings by
+    its value.  An entry holds its arguments, so no id in its key is
+    reused while it lives; only a result is kept, so an exception is
+    raised again on every call.  The memo is the wrapper's ``memo``
+    attribute."""
+    def wrap(fn):
+        memo = OrderedDict()
 
-    def call(*args):
-        key = tuple(map(id, args))
-        hit = memo.get(key)
-        if hit is not None:
-            memo.move_to_end(key)
-            return hit[1]
-        result = fn(*args)
-        memo[key] = args, result
-        if len(memo) > _MEMO_SIZE:
-            memo.popitem(last=False)
-        return result
+        def call(*args):
+            k = key(*args)
+            hit = memo.get(k)
+            if hit is not None:
+                memo.move_to_end(k)
+                return hit[1]
+            result = fn(*args)
+            memo[k] = args, result
+            if len(memo) > _MEMO_SIZE:
+                memo.popitem(last=False)
+            return result
 
-    call.memo = memo
-    return call
+        call.memo = memo
+        return call
+    return wrap
 
 
-@_by_identity
+@_memo(id)
 def _line_form(f):
     """canon(f), for a line formula; canon is looked up at each miss, so
     a wrapper put in its place sees every real call."""
     return canon(f)
 
 
-@_by_identity
+@_memo(lambda *forms: tuple(map(id, forms)))
 def _pl_step(conclusion, *premises):
     """Whether the canon forms premises entail conclusion (_pl_entails)."""
     return _pl_entails(premises, conclusion)
@@ -410,6 +419,42 @@ _NEEDS_NEC = {("NEC", "box"): "settledness necessitation is not primitive",
               ("RKD", "box"): "settledness monotony is not available"}
 
 
+@_memo(lambda system, args, tree: (system, args, id(tree)))
+def _ax_step(system, args, tree):
+    """Why tree is not the instance of a schema of system that the AX
+    arguments args give, else None."""
+    name, bindings, agents, k = _parse_ax_args(args)
+    if name not in SYSTEMS[system]["schemas"]:
+        return f"schema {name} not in {system}"
+    want = instantiate(name, bindings, agents, k)
+    if want != tree:
+        return f"axiom mismatch: expected {syntax.pretty(want)}"
+    return None
+
+
+@_memo(lambda rule, kind, a, prev, form:
+       (rule, kind, a, id(prev), id(form)))
+def _shape_step(rule, kind, a, prev, form):
+    """Why form, in canon form, does not follow from the canon form prev
+    by rule (NEC, RK or RKD) of kind box, or of kind agent for agent a,
+    else None."""
+    if kind == "box":
+        op = Diamond if rule == "RKD" else Box
+    else:
+        op = partial(PosCstit if rule == "RKD" else Cstit, a)
+    if rule == "NEC":
+        want = op(prev)
+    else:
+        imp = _as_implication(prev)
+        if imp is None:
+            return f"{rule} premise is not an implication"
+        want = canon(Implies(op(imp[0]), op(imp[1])))
+    if form != want:
+        return (f"NEC {kind} shape mismatch" if rule == "NEC" else
+                f"{rule} shape mismatch: expected {syntax.pretty(want)}")
+    return None
+
+
 def check(derivation, system=None):
     """Check derivation in its system (or in system): the first failure,
     else an accepted result.  A rule with an argument missing, unreadable
@@ -431,13 +476,9 @@ def check(derivation, system=None):
         try:
             rule = line.rule
             if rule == "AX":
-                name, bindings, agents, k = _parse_ax_args(line.args)
-                if name not in spec["schemas"]:
-                    return fail(line, f"schema {name} not in {system}")
-                want = instantiate(name, bindings, agents, k)
-                if want != line.formula:
-                    return fail(line, f"axiom mismatch: expected "
-                                      f"{syntax.pretty(want)}")
+                msg = _ax_step(system, line.args, line.formula)
+                if msg:
+                    return fail(line, msg)
             elif rule == "MP":
                 major, minor = map(cited, _read(line, "MP i j"))
                 imp = _as_implication(major)
@@ -455,30 +496,18 @@ def check(derivation, system=None):
                 kind = line.args[0] if line.args else ""
                 if kind == "box":
                     _, prev = _read(line, f"{rule} box i")
-                    op = Diamond if rule == "RKD" else Box
+                    a = None
                 elif kind == "agent":
                     _, a, prev = _read(line, f"{rule} agent a i")
                     a = _number(a, "agent")
-                    op = partial(PosCstit if rule == "RKD" else Cstit, a)
                 else:
                     return fail(line, f"unknown {rule} kind {kind!r}")
                 lacks = _NEEDS_NEC.get((rule, kind))
                 if lacks and kind not in spec["nec"]:
                     return fail(line, f"{lacks} in {system}")
-                prev = cited(prev)
-                if rule == "NEC":
-                    want = op(prev)
-                else:
-                    imp = _as_implication(prev)
-                    if imp is None:
-                        return fail(line, f"{rule} premise is not an "
-                                          f"implication")
-                    want = canon(Implies(op(imp[0]), op(imp[1])))
-                if form != want:
-                    return fail(line, f"NEC {kind} shape mismatch"
-                                if rule == "NEC" else
-                                f"{rule} shape mismatch: expected "
-                                f"{syntax.pretty(want)}")
+                msg = _shape_step(rule, kind, a, cited(prev), form)
+                if msg:
+                    return fail(line, msg)
             else:
                 return fail(line, f"unknown rule {rule!r}")
         except KeyError as e:

@@ -62,11 +62,11 @@ class KripkeModel:
     set; it must exceed every stored agent index, and defaults to one
     past the largest stored agent (at least 1).
 
-    Building one raises ValueError unless there is a world, each
-    relation partitions the worlds and no settledness class has an unmet
-    choice of one cell per stored agent (GPP; rectangularity on a
-    MomentModel).  The first
-    unmet choice in unmet_per_class order is reported.
+    Building one raises ValueError unless there is a world, no world is
+    listed twice, each relation partitions the worlds and no settledness
+    class has an unmet choice of one cell per stored agent (GPP;
+    rectangularity on a MomentModel).  The first unmet choice in
+    unmet_per_class order is reported.
     """
 
     worlds: tuple
@@ -91,6 +91,10 @@ class KripkeModel:
                 raise ValueError(f"agent {a} outside universe "
                                  f"{self.agent_universe}")
         known = set(self.worlds)
+        if len(known) < len(self.worlds):
+            twice = next(w for i, w in enumerate(self.worlds)
+                         if w in self.worlds[:i])
+            raise ValueError(f"world {twice!r} listed twice")
         for p, ws in self.valuation.items():
             bad = ws - known
             if bad:

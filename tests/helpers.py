@@ -561,6 +561,39 @@ PL_SHARED_STEPS = [
 ]
 
 
+def _aia_document(system, phi):
+    """A derivation in system of one line: AIA(1) with phi in both slots,
+    which is an axiom of XU but not of GPERM-SYS."""
+    return (f"system {system}\n"
+            f"1: ((<>[0]{phi} & <>[1]{phi}) -> <>([0]{phi} & [1]{phi})) ; "
+            f'AX AIA k=1 phi0="{phi}" phi1="{phi}"\n')
+
+
+def _monotony_document(rule, op, phi):
+    """An XU derivation: (phi -> (phi | q)) by PL, then
+    (op phi -> op (phi | q)) by rule of agent 0 from it."""
+    return (f"system XU\n1: ({phi} -> ({phi} | q)) ; PL\n"
+            f"2: ({op}{phi} -> {op}({phi} | q)) ; {rule} agent 0 1\n")
+
+
+# derivations to check in this order, each with its verdict, in pairs:
+# the second of a pair has the AX line of the first in the other system
+# (the first two pairs), or the line and the cited line of the RK or
+# RKD step of the first under the other rule (the last two), and the
+# other verdict, so a memo of those verdicts keyed without the system
+# or the rule gives the second the verdict of the first
+AX_RK_SHARED_STEPS = [
+    (_aia_document("XU", "s6"), True),
+    (_aia_document("GPERM-SYS", "s6"), False),
+    (_aia_document("GPERM-SYS", "s7"), False),
+    (_aia_document("XU", "s7"), True),
+    (_monotony_document("RK", "[0]", "s8"), True),
+    (_monotony_document("RKD", "[0]", "s8"), False),
+    (_monotony_document("RKD", "<0>", "s9"), True),
+    (_monotony_document("RK", "<0>", "s9"), False),
+]
+
+
 # unsatisfiable inputs of tr_prime that put a compound operand of [i] at
 # negative or mixed polarity, where a one-way definition of the wrong
 # direction would make the output satisfiable

@@ -12,8 +12,9 @@ from stitkit.solver import SolverConfig
 from stitkit.syntax import (Atom, Cstit, Not, Or, agents, atoms, conjoin,
                             parse, pretty)
 
-from helpers import (FIXTURES, MIXED_AUDIT, PL_SHARED_STEPS, SIZED_SAT,
-                     exhaustive_formulas, random_corpus, reference_audit,
+from helpers import (AX_RK_SHARED_STEPS, FIXTURES, MIXED_AUDIT,
+                     PL_SHARED_STEPS, SIZED_SAT, exhaustive_formulas,
+                     random_corpus, reference_audit,
                      reference_pl_consequence, reference_sweep_frames)
 
 
@@ -416,23 +417,90 @@ def test_pl_step_errors_are_not_kept(monkeypatch):
     assert len(tables) == 2
 
 
+def test_each_ax_and_shape_step_is_judged_once(monkeypatch):
+    # a second check of the same line texts instantiates no schema and
+    # computes no canon form
+    doc = ("system XU\n1: (once_b -> (once_b | once_c)) ; PL\n"
+           "2: ([0]once_b -> [0](once_b | once_c)) ; RK agent 0 1\n"
+           "3: (<>once_b -> <>(once_b | once_c)) ; RKD box 1\n"
+           "4: [](once_b -> (once_b | once_c)) ; NEC box 1\n"
+           '5: ([]once_b -> once_b) ; AX S5Box-T phi="once_b"\n'
+           '6: ([1]once_b -> once_b) ; AX S5i-T i=1 phi="once_b"\n')
+    canons, schemas = (_counting(monkeypatch, name)
+                       for name in ("canon", "instantiate"))
+    first = check(parse_derivation(doc))
+    assert first.ok and canons and len(schemas) == 2
+    seen = len(canons)
+    assert check(parse_derivation(doc)) == first
+    assert (len(canons), len(schemas)) == (seen, 2)
+
+
+def _clear_check_memos():
+    for step in (axioms._line_form, axioms._pl_step, axioms._ax_step,
+                 axioms._shape_step):
+        step.memo.clear()
+
+
+def test_ax_and_shape_memos_key_the_system_and_the_rule():
+    # an AX line in another system, or an RK or RKD step under the other
+    # rule, gets its own verdict, in either order: the one a check with
+    # empty memos gives
+    cold = []
+    for doc, _ in AX_RK_SHARED_STEPS:
+        _clear_check_memos()
+        cold.append(check(parse_derivation(doc)))
+    _clear_check_memos()
+    warm = [check(parse_derivation(doc)) for doc, _ in AX_RK_SHARED_STEPS]
+    assert warm == cold
+    assert [r.ok for r in warm] == [ok for _, ok in AX_RK_SHARED_STEPS]
+    assert {r.message.split(":")[0] for r in warm if not r.ok} == {
+        "schema AIA not in GPERM-SYS", "RKD shape mismatch",
+        "RK shape mismatch"}
+
+
+def test_ax_errors_are_not_kept(monkeypatch):
+    # a malformed AX argument fails the same way every time, and is read
+    # every time
+    parsed, schemas = (_counting(monkeypatch, name)
+                       for name in ("_parse_ax_args", "instantiate"))
+    for args, message in (('phi="p" phi="p"', "AX parameter phi given "
+                           "twice"),
+                          ('phi="p" psi="q"', "schema S5Box-T does not "
+                           "read psi")):
+        doc = f"system XU\n1: ([]p -> p) ; AX S5Box-T {args}\n"
+        want = axioms.CheckResult(False, 1, f"malformed justification: "
+                                  f"{message}")
+        calls = len(parsed)
+        assert [check(parse_derivation(doc)) for _ in range(2)] == [want] * 2
+        assert len(parsed) == calls + 2
+    assert len(schemas) == 2
+
+
 def test_check_memos_are_bounded():
     # fed more distinct trees than the bound, each memo keeps the most
     # recently used ones and no more; a hit counts as a use
     bound = axioms._MEMO_SIZE
     trees = [Not(Not(Atom(f"bound_{i}"))) for i in range(bound + 6)]
-    for memo, call in ((axioms._line_form.memo, axioms._line_form),
-                       (axioms._pl_step.memo,
-                        lambda f: axioms._pl_step(f, f))):
+    t_args = ("S5Box-T", 'phi="p"')
+    for step, call, at in (
+            (axioms._line_form, axioms._line_form, 0),
+            (axioms._pl_step, lambda f: axioms._pl_step(f, f), 0),
+            (axioms._ax_step, lambda f: axioms._ax_step("XU", t_args, f), 2),
+            (axioms._shape_step,
+             lambda f: axioms._shape_step("NEC", "box", None, f, f), 3)):
         for f in trees[:-1]:
             call(f)
-        assert len(memo) == bound
+        assert len(step.memo) == bound
         call(trees[5])
         call(trees[-1])
-        kept = [args[0] for args, _ in memo.values()]
+        kept = [args[at] for args, _ in step.memo.values()]
         assert kept == trees[7:-1] + [trees[5], trees[-1]]
     assert axioms._line_form(trees[5]) == Atom("bound_5")
     assert axioms._pl_step(trees[5], trees[5]) is True
+    assert axioms._ax_step("XU", t_args, trees[5]) == (
+        "axiom mismatch: expected ~([]p & ~p)")
+    assert axioms._shape_step("NEC", "box", None, trees[5], trees[5]) == (
+        "NEC box shape mismatch")
 
 
 def test_every_fixture_line_is_semantically_valid():

@@ -59,6 +59,15 @@ def test_no_worlds_refused():
             cls((), {}, {})
 
 
+def test_duplicate_world_refused():
+    # a model that format_model would write as a file parse_model refuses
+    for cls in (KripkeModel, MomentModel):
+        with pytest.raises(ValueError, match="world 'a' listed twice"):
+            cls(("a", "b", "a", "b"), {0: ({"a"}, {"b"})}, {"p": {"a"}})
+    with pytest.raises(ValueError, match="world 'a' listed twice"):
+        parse_model("kripke agents=1\nworlds: a a b\nrel 0: {a} {b}\n")
+
+
 def test_mc_matches_btac_on_product():
     m = parse_model(PRODUCT)
     bt = btac.parse_model("""

@@ -25,12 +25,15 @@ Three more slices check ``axioms`` and ``translate``.  The six fixture
 derivations must be accepted and every 8th of criterion 6's single-line
 negations rejected; then each derivation of ``PL_SHARED_STEPS`` must get
 its own verdict after one whose PL step has its premises or its
-conclusion.  (A negated line changes the conclusion of the one step the
-check reaches, so the negations alone never ask the PL memo for a seen
-conclusion under other premises.)  And ``oracle(f, 2)`` must give ``f``
-and its translation the same verdict, on the inputs of the two
-satisfiability tests of tests/test_translate.py (through ``tr_prime``
-with its polarity inputs, and through ``tr``).  Last, ``semantic_audit``
+conclusion, and each of ``AX_RK_SHARED_STEPS`` after one with its AX line
+in another system or its RK or RKD step under the other rule.  (A
+negated line changes the conclusion of the one step the check reaches,
+so the negations alone never ask the PL memo for a seen conclusion under
+other premises, nor the AX or monotony memo for a seen step that
+another system or rule judges otherwise.)  And ``oracle(f, 2)`` must
+give ``f`` and its translation the same verdict, on the inputs of the
+two satisfiability tests of tests/test_translate.py (through
+``tr_prime`` with its polarity inputs, and through ``tr``).  Last, ``semantic_audit``
 over the instances of ``MIXED_AUDIT``, three of whose groups hold a
 counterexample after a valid first instance, must give the report of
 ``reference_audit``, one instance at a time, over both model classes.
@@ -105,11 +108,20 @@ MUTANTS = {
     "canon_drops_a_negation": (
         "axioms.py", "return f if sub is f.sub else Not(sub)",
         "return f if sub is f.sub else sub"),
-    # the memos of check keyed by their first argument only, so a PL step
-    # gets the verdict of an earlier step with its conclusion
-    "pl_memo_key_without_premises": ("axioms.py",
-                                     "key = tuple(map(id, args))",
-                                     "key = id(args[0])"),
+    # the PL memo keyed by the conclusion only, so a PL step gets the
+    # verdict of an earlier step with its conclusion
+    "pl_memo_key_without_premises": (
+        "axioms.py", "@_memo(lambda *forms: tuple(map(id, forms)))",
+        "@_memo(lambda *forms: id(forms[0]))"),
+    # the AX memo keyed without the system, so an AX line gets the
+    # verdict of the same line in another system
+    "ax_memo_key_without_system": (
+        "axioms.py", "(system, args, id(tree)))", "(args, id(tree)))"),
+    # the NEC/RK/RKD memo keyed without the rule, so an RKD step gets the
+    # verdict of an RK step with its line and cited line, or back
+    "shape_memo_key_without_rule": (
+        "axioms.py", "(rule, kind, a, id(prev), id(form)))",
+        "(kind, a, id(prev), id(form)))"),
     # the monotony rules with the wrong operator
     "rkd_applies_the_box": ("axioms.py",
                             'op = Diamond if rule == "RKD" else Box',
@@ -131,9 +143,9 @@ CHECK = """
 import importlib.resources
 import re
 import sys
-from helpers import (FIXTURES, MIXED_AUDIT, PL_SHARED_STEPS,
-                     TR_PRIME_POLARITY, exhaustive_formulas, line_negations,
-                     random_corpus, reference_audit)
+from helpers import (AX_RK_SHARED_STEPS, FIXTURES, MIXED_AUDIT,
+                     PL_SHARED_STEPS, TR_PRIME_POLARITY, exhaustive_formulas,
+                     line_negations, random_corpus, reference_audit)
 from stitkit import axioms, solver, syntax, translate
 from stitkit.kripke import mc
 
@@ -199,6 +211,11 @@ for k, (doc, ok) in enumerate(PL_SHARED_STEPS):
         print("shared PL step", k)
         sys.exit(3)
     checked += 1
+for k, (doc, ok) in enumerate(AX_RK_SHARED_STEPS):
+    if axioms.check(axioms.parse_derivation(doc)).ok != ok:
+        print("shared AX or RK step", k)
+        sys.exit(3)
+    checked += 1
 
 cstit_only = random_corpus(45, 25, 8, dstit=False) + [
     syntax.parse(t) for t in TR_PRIME_POLARITY]
@@ -246,8 +263,8 @@ def _run(tmp_path, name=None):
 def test_unmutated_copy_passes(tmp_path):
     out = _run(tmp_path)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) == (2367 + 82 + 1 + 226 + 1 + 6 + 43 + 8 + 30
-                               + 25 + 2)
+    assert int(out.stdout) == (2367 + 82 + 1 + 226 + 1 + 6 + 43 + 8 + 8
+                               + 30 + 25 + 2)
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
