@@ -33,10 +33,11 @@ other premises, nor the AX or monotony memo for a seen step that
 another system or rule judges otherwise.)  And ``oracle(f, 2)`` must
 give ``f`` and its translation the same verdict, on the inputs of the
 two satisfiability tests of tests/test_translate.py (through
-``tr_prime`` with its polarity inputs, and through ``tr``).  Last, ``semantic_audit``
-over the instances of ``MIXED_AUDIT``, three of whose groups hold a
-counterexample after a valid first instance, must give the report of
-``reference_audit``, one instance at a time, over both model classes.
+``tr_prime`` with its polarity inputs, and through ``tr``).  Last,
+``semantic_audit`` over the instances of ``MIXED_AUDIT``, three of whose
+groups hold a counterexample after a valid first instance, must give
+the report of ``reference_audit``, one instance at a time, over both
+model classes.
 """
 
 import os
