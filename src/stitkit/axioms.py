@@ -35,19 +35,18 @@ holds at most 1024 texts, least recently used first out, so a
 long-lived process that checks many different derivations does not keep
 every tree it ever read.
 
-The checker's own work is memoized the same way, keyed by the
-identity of those shared trees and by the value of the strings and ints
-beside them.  Once per process are computed: the canon form of a line
-for each distinct line tree; the verdict of a PL step for each distinct
-tuple of canon conclusion and canon premises; the verdict of an AX step
-for each distinct system, argument text and line tree; and the verdict
-of a NEC, RK or RKD step for each distinct rule, kind, agent, canon
-cited line and canon line.  Each memo holds the nodes its keys name, so
-an id is never reused while its entry lives, keeps at most 1024
-entries, least recently used first out, and keeps only results, a
-failure message among them: a step over too many letters, a malformed
-AX argument or a formula nested too deeply raises again every time.
-MP steps, which no fixture uses, are judged afresh each time.
+The checker's own work is memoized the same way, through one memo of
+step verdicts.  A step is judged once per process for each distinct
+rule, arguments other than its citations, line tree and cited trees, and
+for each system too when the rule is AX: the other rules judge alike in
+every system once check has found the rule primitive there.  The canon
+forms that PL, MP, NEC, RK and RKD compare, of the line and of the cited
+lines, are computed inside the step, on a miss only.  The memo holds the
+nodes its keys name, so an id is never reused while its entry lives,
+keeps at most 1024 entries, least recently used first out, and keeps
+only results, a failure message among them: a step over too many
+letters, a malformed AX argument or a formula nested too deeply raises
+again every time.
 """
 
 from __future__ import annotations
@@ -311,8 +310,8 @@ def _pl_entails(premises, conclusion):
 def _memo(key):
     """A decorator: fn memoized by key(*args), for at most _MEMO_SIZE
     keys, least recently used first out.  A key names a formula tree by
-    its identity (``id``) and a string, an int or a tuple of strings by
-    its value.  An entry holds its arguments, so no id in its key is
+    its identity (``id``) and a string, an int, None or a tuple of them
+    by its value.  An entry holds its arguments, so no id in its key is
     reused while it lives; only a result is kept, so an exception is
     raised again on every call.  The memo is the wrapper's ``memo``
     attribute."""
@@ -334,19 +333,6 @@ def _memo(key):
         call.memo = memo
         return call
     return wrap
-
-
-@_memo(id)
-def _line_form(f):
-    """canon(f), for a line formula; canon is looked up at each miss, so
-    a wrapper put in its place sees every real call."""
-    return canon(f)
-
-
-@_memo(lambda *forms: tuple(map(id, forms)))
-def _pl_step(conclusion, *premises):
-    """Whether the canon forms premises entail conclusion (_pl_entails)."""
-    return _pl_entails(premises, conclusion)
 
 
 def _as_implication(f):
@@ -419,33 +405,46 @@ _NEEDS_NEC = {("NEC", "box"): "settledness necessitation is not primitive",
               ("RKD", "box"): "settledness monotony is not available"}
 
 
-@_memo(lambda system, args, tree: (system, args, id(tree)))
-def _ax_step(system, args, tree):
-    """Why tree is not the instance of a schema of system that the AX
-    arguments args give, else None."""
-    name, bindings, agents, k = _parse_ax_args(args)
-    if name not in SYSTEMS[system]["schemas"]:
-        return f"schema {name} not in {system}"
-    want = instantiate(name, bindings, agents, k)
-    if want != tree:
-        return f"axiom mismatch: expected {syntax.pretty(want)}"
-    return None
-
-
-@_memo(lambda rule, kind, a, prev, form:
-       (rule, kind, a, id(prev), id(form)))
-def _shape_step(rule, kind, a, prev, form):
-    """Why form, in canon form, does not follow from the canon form prev
-    by rule (NEC, RK or RKD) of kind box, or of kind agent for agent a,
-    else None."""
+@_memo(lambda system, rule, params, tree, *cited:
+       (system if rule == "AX" else None, rule, params, id(tree),
+        *map(id, cited)))
+def _step(system, rule, params, tree, *cited):
+    """Why the line formula tree does not follow by rule, with params
+    (the rule's arguments other than its citations) and from the
+    formulas cited of the cited lines, else None.  Only AX reads system;
+    whether a NEC, RK or RKD kind is primitive in it is for check to
+    test.  canon is looked up at each miss, so a wrapper put in its place
+    sees every real call."""
+    if rule == "AX":
+        name, bindings, agents, k = _parse_ax_args(params)
+        if name not in SYSTEMS[system]["schemas"]:
+            return f"schema {name} not in {system}"
+        want = instantiate(name, bindings, agents, k)
+        if want != tree:
+            return f"axiom mismatch: expected {syntax.pretty(want)}"
+        return None
+    form = canon(tree)
+    cited = [canon(f) for f in cited]
+    if rule == "PL":
+        if not _pl_entails(cited, form):
+            return "not a propositional consequence of the cited lines"
+        return None
+    if rule == "MP":
+        imp = _as_implication(cited[0])
+        if imp is None:
+            return "MP major premise is not an implication"
+        if imp[0] != cited[1] or imp[1] != form:
+            return "MP shape mismatch"
+        return None
+    kind, a = params
     if kind == "box":
         op = Diamond if rule == "RKD" else Box
     else:
         op = partial(PosCstit if rule == "RKD" else Cstit, a)
     if rule == "NEC":
-        want = op(prev)
+        want = op(cited[0])
     else:
-        imp = _as_implication(prev)
+        imp = _as_implication(cited[0])
         if imp is None:
             return f"{rule} premise is not an implication"
         want = canon(Implies(op(imp[0]), op(imp[1])))
@@ -463,7 +462,7 @@ def check(derivation, system=None):
     if system not in SYSTEMS:
         return CheckResult(False, None, f"unknown system {system!r}")
     spec = SYSTEMS[system]
-    proved = {}  # line number -> canon form of its formula
+    proved = {}  # line number -> formula
 
     def fail(line, msg):
         return CheckResult(False, line.number, msg)
@@ -472,49 +471,39 @@ def check(derivation, system=None):
         return proved[_number(tok, "line")]
 
     for line in derivation.lines:
-        form = _line_form(line.formula)
         try:
             rule = line.rule
             if rule == "AX":
-                msg = _ax_step(system, line.args, line.formula)
-                if msg:
-                    return fail(line, msg)
+                params, cites = line.args, ()
             elif rule == "MP":
-                major, minor = map(cited, _read(line, "MP i j"))
-                imp = _as_implication(major)
-                if imp is None:
-                    return fail(line, "MP major premise is not an "
-                                      "implication")
-                if imp[0] != minor or imp[1] != form:
-                    return fail(line, "MP shape mismatch")
+                params, cites = (), _read(line, "MP i j")
             elif rule == "PL":
-                premises = [cited(tok) for tok in line.args]
-                if not _pl_step(form, *premises):
-                    return fail(line, "not a propositional consequence "
-                                      "of the cited lines")
+                params, cites = (), line.args
             elif rule in ("NEC", "RK", "RKD"):
                 kind = line.args[0] if line.args else ""
                 if kind == "box":
                     _, prev = _read(line, f"{rule} box i")
-                    a = None
+                    params = kind, None
                 elif kind == "agent":
                     _, a, prev = _read(line, f"{rule} agent a i")
-                    a = _number(a, "agent")
+                    params = kind, _number(a, "agent")
                 else:
                     return fail(line, f"unknown {rule} kind {kind!r}")
                 lacks = _NEEDS_NEC.get((rule, kind))
                 if lacks and kind not in spec["nec"]:
                     return fail(line, f"{lacks} in {system}")
-                msg = _shape_step(rule, kind, a, cited(prev), form)
-                if msg:
-                    return fail(line, msg)
+                cites = (prev,)
             else:
                 return fail(line, f"unknown rule {rule!r}")
+            msg = _step(system, rule, params, line.formula,
+                        *map(cited, cites))
         except KeyError as e:
             return fail(line, f"cites unproved line {e.args[0]}")
         except ValueError as e:
             return fail(line, f"malformed justification: {e}")
-        proved[line.number] = form
+        if msg:
+            return fail(line, msg)
+        proved[line.number] = line.formula
     return CheckResult(True, None, f"{len(derivation.lines)} lines accepted")
 
 

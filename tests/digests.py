@@ -22,6 +22,11 @@ that the elimination before the walk dropped (EFFORT).
   audit      repr of the 120 audit reports of seed 1, one line each
   replay     repr((name, ok, line, message)) of axioms.check on the 334
              replay documents of seed 1
+  justifications
+             repr((name, ok, line, message)) of axioms.check on the
+             3,000 single-justification mutations of the six fixtures
+             (helpers.justification_mutations), each checked in its own system
+             and then in each of the three
   sat-decide repr((verdict, format_model(model) or None, world or None,
              [(key, value) ...])) of sat on the 94,658 decide formulas
              (seed 1 order, agent_universe=2), with the sorted stats
@@ -37,7 +42,7 @@ that the elimination before the walk dropped (EFFORT).
              agent_universe=1)
 
 Pytest does not collect this file (its name does not start with
-test_).  All eight digests take about 32 s of CPU on a 2-vCPU virtual
+test_).  All nine digests take about 32 s of CPU on a 2-vCPU virtual
 machine.
 """
 
@@ -48,7 +53,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from helpers import exhaustive_formulas  # noqa: E402
+from helpers import (exhaustive_formulas,  # noqa: E402
+                     justification_mutations)
 from perfbench import inputs, workloads  # noqa: E402
 from stitkit import axioms, kripke, solver, syntax  # noqa: E402
 
@@ -95,6 +101,16 @@ def replay_results(docs):
         yield repr((name, res.ok, res.line, res.message))
 
 
+def justification_results(docs):
+    """The check of each derivation in its own system, then in XU,
+    AAIA-SYS and GPERM-SYS."""
+    for name, text in docs:
+        derivation = axioms.parse_derivation(text)
+        for system in (None, *axioms.SYSTEMS):
+            res = axioms.check(derivation, system)
+            yield repr((name, res.ok, res.line, res.message))
+
+
 def single_texts():
     return [syntax.pretty(f) for f in exhaustive_formulas(10, agents=(0,))]
 
@@ -137,6 +153,10 @@ def replay():
     return replay_results(workloads.Replay().inputs(1)[1])
 
 
+def justifications():
+    return _lines(justification_results(justification_mutations()))
+
+
 def sat_decide(effort=None, verdicts=None):
     return sat_results(inputs.decide_inputs(1), 2, effort, verdicts)
 
@@ -150,7 +170,8 @@ def sat_single(effort=None, verdicts=None):
 
 
 DIGESTS = {"frames": frames, "oracle": oracle, "product": product,
-           "audit": audit, "replay": replay, "sat-decide": sat_decide,
+           "audit": audit, "replay": replay, "justifications": justifications,
+           "sat-decide": sat_decide,
            "sat-hard3": sat_hard3, "sat-single": sat_single}
 
 

@@ -4,6 +4,7 @@ bit-parallel inner loops, the direct permutation-property checks, the
 frame-at-a-time oracle, sweep and audit, measures that only the tests read,
 and the shared inputs of the derivation and translation checks."""
 
+import importlib.resources
 import itertools
 import random
 from array import array
@@ -537,6 +538,57 @@ def line_negations(text):
         yield "\n".join(mutated)
 
 
+def _mutated(rng, line, justifications):
+    """line, a numbered line, with its justification changed at random:
+    replaced by one of justifications, its rule renamed, or one argument
+    replaced, dropped or added.  A new argument is mostly a line number
+    from 0 to one past the line's own, so that it cites a proved line,
+    the line itself or one not yet proved."""
+    number, formula, justification = _DRV_LINE.match(line).groups()
+    tokens = justification.split()
+
+    def token():
+        if rng.random() < 0.8:
+            return str(rng.randrange(int(number) + 2))
+        return rng.choice(("box", "agent", "agnet", "x", "+1"))
+
+    how = rng.choice(("swap", "rule", "arg", "drop", "add"))
+    if how == "swap":
+        tokens = rng.choice(justifications).split()
+    elif how == "rule":
+        tokens[0] = rng.choice(("AX", "MP", "PL", "NEC", "RK", "RKD",
+                                "FOO"))
+    elif how == "arg" and len(tokens) > 1:
+        tokens[rng.randrange(1, len(tokens))] = token()
+    elif how == "drop" and len(tokens) > 1:
+        del tokens[rng.randrange(1, len(tokens))]
+    else:
+        tokens.insert(rng.randrange(1, len(tokens) + 1), token())
+    return f"{number}: {formula} ; {' '.join(tokens)}"
+
+
+def justification_mutations(count=3000, seed=31):
+    """count (name, text) pairs, each a fixture with the justification of
+    one numbered line changed by _mutated, which may take the
+    justification of any line of the six fixtures; drawn by
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    root = importlib.resources.files("stitkit") / "fixtures"
+    texts = [(name, [ln.strip() for ln in (root / name).read_text()
+                     .splitlines()]) for name in FIXTURES]
+    justifications = [m.group(3) for _, lines in texts for ln in lines
+                      if (m := _DRV_LINE.match(ln))]
+    out = []
+    for _ in range(count):
+        name, lines = rng.choice(texts)
+        k = rng.choice([k for k, ln in enumerate(lines)
+                        if _DRV_LINE.match(ln)])
+        mutated = list(lines)
+        mutated[k] = _mutated(rng, lines[k], justifications)
+        out.append((name, "\n".join(mutated)))
+    return out
+
+
 def _pl_document(phi, conclusion):
     """An XU derivation: the T instance of []phi, then conclusion by PL
     from it."""
@@ -591,6 +643,41 @@ AX_RK_SHARED_STEPS = [
     (_monotony_document("RKD", "[0]", "s8"), False),
     (_monotony_document("RKD", "<0>", "s9"), True),
     (_monotony_document("RK", "<0>", "s9"), False),
+]
+
+
+def _mp_document(atom, minor):
+    """An XU derivation: ((atom | ~atom) -> (atom_ | ~atom_)) and minor by
+    PL, then (atom_ | ~atom_) by MP from the two; accepted iff minor is
+    (atom | ~atom)."""
+    return (f"system XU\n1: (({atom} | ~{atom}) -> ({atom}_ | ~{atom}_)) ; "
+            f"PL\n2: {minor} ; PL\n3: ({atom}_ | ~{atom}_) ; MP 1 2\n")
+
+
+def _two_premise_document(phi, psi, chi):
+    """An XU derivation: the T instances of []phi and []chi, then
+    (([]phi & []psi) -> (phi & psi)) by PL from the two; accepted iff chi
+    is psi."""
+    return (f'system XU\n1: ([]{phi} -> {phi}) ; AX S5Box-T phi="{phi}"\n'
+            f'2: ([]{chi} -> {chi}) ; AX S5Box-T phi="{chi}"\n'
+            f"3: (([]{phi} & []{psi}) -> ({phi} & {psi})) ; PL 1 2\n")
+
+
+# derivations to check in this order, each with its verdict, in pairs:
+# the MP step (the first two pairs) or the PL step (the last two) of the
+# second of a pair has the line and the first cited line of the first,
+# another second cited line, and the other verdict, so a memo of step
+# verdicts keyed by the first citation alone gives the second the
+# verdict of the first
+CITED_SHARED_STEPS = [
+    (_mp_document("c0", "(c0 | ~c0)"), True),
+    (_mp_document("c0", "(c0 -> c0)"), False),
+    (_mp_document("c1", "(c1 -> c1)"), False),
+    (_mp_document("c1", "(c1 | ~c1)"), True),
+    (_two_premise_document("c2", "c3", "c3"), True),
+    (_two_premise_document("c2", "c3", "c4"), False),
+    (_two_premise_document("c5", "c6", "c7"), False),
+    (_two_premise_document("c5", "c6", "c6"), True),
 ]
 
 

@@ -190,26 +190,35 @@ def test_nec_gating():
     assert check(parse_derivation(agent)).ok
 
 
-@pytest.mark.parametrize("step, message", [
+@pytest.mark.parametrize("step, message, in_xu", [
     pytest.param("[]((p & q) -> p) ; NEC box 1",
                  "settledness necessitation is not primitive in GPERM-SYS",
-                 id="NEC"),
+                 None, id="NEC"),
     pytest.param("([](p & q) -> []p) ; RK box 1",
                  "settledness monotony is not available in GPERM-SYS",
-                 id="RK"),
+                 None, id="RK"),
     pytest.param("(<>(p & q) -> <>p) ; RKD box 1",
                  "settledness monotony is not available in GPERM-SYS",
-                 id="RKD"),
+                 None, id="RKD"),
+    # the table is read before the cited line is looked up
+    pytest.param("[]((p & q) -> p) ; NEC box 9",
+                 "settledness necessitation is not primitive in GPERM-SYS",
+                 "cites unproved line 9", id="NEC-unproved"),
+    pytest.param("([](p & q) -> []p) ; RK box 9",
+                 "settledness monotony is not available in GPERM-SYS",
+                 "cites unproved line 9", id="RK-unproved"),
 ])
-def test_box_rules_follow_the_systems_table(step, message):
+def test_box_rules_follow_the_systems_table(step, message, in_xu):
     # the three settledness rules stand or fall with "box" in the nec
     # entry of SYSTEMS: refused in GPERM-SYS, each with its message, and
-    # accepted in XU
+    # in XU accepted, or refused with in_xu
     def run(system):
         return check(parse_derivation(
             f"system {system}\n1: ((p & q) -> p) ; PL\n2: {step}\n"))
     assert run("GPERM-SYS") == axioms.CheckResult(False, 2, message)
-    assert run("XU").ok
+    xu = run("XU")
+    assert xu.ok if in_xu is None else xu == axioms.CheckResult(False, 2,
+                                                                in_xu)
 
 
 MODAL_STEPS = """system XU
@@ -293,6 +302,10 @@ def _with_justification(number, justification):
      "phi takes a quoted formula, not a number"),
     (3, 'AX AIA k=1 phi0="p" phi1=0', "malformed justification: AX "
      "parameter phi1 takes a quoted formula, not a number"),
+    # the agent and the rule are read before the cited line is looked up
+    (8, "RK agent x 9", "malformed justification: agent 'x' is not a "
+     "number"),
+    (8, "FOO 1 2", "unknown rule 'FOO'"),
 ])
 def test_every_argument_is_read(number, justification, message):
     # a kind the rule does not know, or an argument beyond those the
@@ -418,38 +431,36 @@ def test_pl_step_errors_are_not_kept(monkeypatch):
 
 
 def test_each_ax_and_shape_step_is_judged_once(monkeypatch):
-    # a second check of the same line texts instantiates no schema and
-    # computes no canon form
+    # a second check of the same line texts instantiates no schema,
+    # splits no implication and computes no canon form
     doc = ("system XU\n1: (once_b -> (once_b | once_c)) ; PL\n"
            "2: ([0]once_b -> [0](once_b | once_c)) ; RK agent 0 1\n"
            "3: (<>once_b -> <>(once_b | once_c)) ; RKD box 1\n"
            "4: [](once_b -> (once_b | once_c)) ; NEC box 1\n"
            '5: ([]once_b -> once_b) ; AX S5Box-T phi="once_b"\n'
-           '6: ([1]once_b -> once_b) ; AX S5i-T i=1 phi="once_b"\n')
-    canons, schemas = (_counting(monkeypatch, name)
-                       for name in ("canon", "instantiate"))
+           '6: ([1]once_b -> once_b) ; AX S5i-T i=1 phi="once_b"\n'
+           "7: ((once_b -> (once_b | once_c)) -> "
+           "((once_b -> (once_b | once_c)) | once_d)) ; PL\n"
+           "8: ((once_b -> (once_b | once_c)) | once_d) ; MP 7 1\n")
+    canons, schemas, splits = (
+        _counting(monkeypatch, name)
+        for name in ("canon", "instantiate", "_as_implication"))
     first = check(parse_derivation(doc))
     assert first.ok and canons and len(schemas) == 2
-    seen = len(canons)
+    seen = len(canons), len(splits)
     assert check(parse_derivation(doc)) == first
-    assert (len(canons), len(schemas)) == (seen, 2)
-
-
-def _clear_check_memos():
-    for step in (axioms._line_form, axioms._pl_step, axioms._ax_step,
-                 axioms._shape_step):
-        step.memo.clear()
+    assert (len(canons), len(splits), len(schemas)) == (*seen, 2)
 
 
 def test_ax_and_shape_memos_key_the_system_and_the_rule():
     # an AX line in another system, or an RK or RKD step under the other
     # rule, gets its own verdict, in either order: the one a check with
-    # empty memos gives
+    # an empty memo gives
     cold = []
     for doc, _ in AX_RK_SHARED_STEPS:
-        _clear_check_memos()
+        axioms._step.memo.clear()
         cold.append(check(parse_derivation(doc)))
-    _clear_check_memos()
+    axioms._step.memo.clear()
     warm = [check(parse_derivation(doc)) for doc, _ in AX_RK_SHARED_STEPS]
     assert warm == cold
     assert [r.ok for r in warm] == [ok for _, ok in AX_RK_SHARED_STEPS]
@@ -477,30 +488,25 @@ def test_ax_errors_are_not_kept(monkeypatch):
 
 
 def test_check_memos_are_bounded():
-    # fed more distinct trees than the bound, each memo keeps the most
-    # recently used ones and no more; a hit counts as a use
+    # fed more distinct trees than the bound, the step memo keeps the
+    # most recently used ones and no more; a hit counts as a use
     bound = axioms._MEMO_SIZE
     trees = [Not(Not(Atom(f"bound_{i}"))) for i in range(bound + 6)]
-    t_args = ("S5Box-T", 'phi="p"')
-    for step, call, at in (
-            (axioms._line_form, axioms._line_form, 0),
-            (axioms._pl_step, lambda f: axioms._pl_step(f, f), 0),
-            (axioms._ax_step, lambda f: axioms._ax_step("XU", t_args, f), 2),
-            (axioms._shape_step,
-             lambda f: axioms._shape_step("NEC", "box", None, f, f), 3)):
-        for f in trees[:-1]:
-            call(f)
-        assert len(step.memo) == bound
-        call(trees[5])
-        call(trees[-1])
-        kept = [args[at] for args, _ in step.memo.values()]
-        assert kept == trees[7:-1] + [trees[5], trees[-1]]
-    assert axioms._line_form(trees[5]) == Atom("bound_5")
-    assert axioms._pl_step(trees[5], trees[5]) is True
-    assert axioms._ax_step("XU", t_args, trees[5]) == (
+
+    def step(f):
+        return axioms._step("XU", "PL", (), f, f)
+    for f in trees[:-1]:
+        step(f)
+    assert len(axioms._step.memo) == bound
+    step(trees[5])
+    step(trees[-1])
+    kept = [args[3] for args, _ in axioms._step.memo.values()]
+    assert kept == trees[7:-1] + [trees[5], trees[-1]]
+    assert step(trees[5]) is None
+    assert axioms._step("XU", "AX", ("S5Box-T", 'phi="p"'), trees[5]) == (
         "axiom mismatch: expected ~([]p & ~p)")
-    assert axioms._shape_step("NEC", "box", None, trees[5], trees[5]) == (
-        "NEC box shape mismatch")
+    assert axioms._step("XU", "NEC", ("box", None), trees[5],
+                        trees[5]) == "NEC box shape mismatch"
 
 
 def test_every_fixture_line_is_semantically_valid():

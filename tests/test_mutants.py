@@ -21,23 +21,26 @@ come from its own cell, against ``oracle(f, 4)``; and a disjunction of
 the bound only (its 56 valuation bits at 4 worlds are beyond the
 oracle's budget).
 
-Three more slices check ``axioms`` and ``translate``.  The six fixture
-derivations must be accepted and every 8th of criterion 6's single-line
-negations rejected; then each derivation of ``PL_SHARED_STEPS`` must get
-its own verdict after one whose PL step has its premises or its
-conclusion, and each of ``AX_RK_SHARED_STEPS`` after one with its AX line
-in another system or its RK or RKD step under the other rule.  (A
-negated line changes the conclusion of the one step the check reaches,
-so the negations alone never ask the PL memo for a seen conclusion under
-other premises, nor the AX or monotony memo for a seen step that
-another system or rule judges otherwise.)  And ``oracle(f, 2)`` must
-give ``f`` and its translation the same verdict, on the inputs of the
-two satisfiability tests of tests/test_translate.py (through
-``tr_prime`` with its polarity inputs, and through ``tr``).  Last,
-``semantic_audit`` over the instances of ``MIXED_AUDIT``, three of whose
-groups hold a counterexample after a valid first instance, must give
-the report of ``reference_audit``, one instance at a time, over both
-model classes.
+More slices check ``axioms``, ``translate`` and ``product_sat``.  The
+six fixture derivations must be accepted and every 8th of criterion 6's
+single-line negations rejected; then each derivation of
+``PL_SHARED_STEPS`` must get its own verdict after one whose PL step has
+its premises or its conclusion, each of ``AX_RK_SHARED_STEPS`` after one
+with its AX line in another system or its RK or RKD step under the other
+rule, and each of ``CITED_SHARED_STEPS`` after one whose MP or PL step
+has its line and its first cited line but not its second.  (A negated
+line changes the conclusion of the one step the check reaches, so the
+negations alone never ask the step memo for a seen line under other
+citations, nor for a seen step that another system or rule judges
+otherwise.)  And ``oracle(f, 2)`` must give ``f`` and its translation
+the same verdict, on the inputs of the two satisfiability tests of
+tests/test_translate.py (through ``tr_prime`` with its polarity inputs,
+and through ``tr``).  Then ``semantic_audit`` over the instances of
+``MIXED_AUDIT``, three of whose groups hold a counterexample after a
+valid first instance, must give the report of ``reference_audit``, one
+instance at a time, over both model classes.  Last,
+``product_sat(f, 3)`` must give the verdict of ``sat`` on each formula
+of criterion 7's corpus.
 """
 
 import os
@@ -109,20 +112,24 @@ MUTANTS = {
     "canon_drops_a_negation": (
         "axioms.py", "return f if sub is f.sub else Not(sub)",
         "return f if sub is f.sub else sub"),
-    # the PL memo keyed by the conclusion only, so a PL step gets the
+    # the step memo keyed without the cited trees, so a PL step gets the
     # verdict of an earlier step with its conclusion
     "pl_memo_key_without_premises": (
-        "axioms.py", "@_memo(lambda *forms: tuple(map(id, forms)))",
-        "@_memo(lambda *forms: id(forms[0]))"),
-    # the AX memo keyed without the system, so an AX line gets the
+        "axioms.py", "id(tree),\n        *map(id, cited)))", "id(tree)))"),
+    # the step memo keyed by the first cited tree only, so an MP or PL
+    # step gets the verdict of an earlier step with its line and its
+    # first citation
+    "step_key_first_cited_only": (
+        "axioms.py", "*map(id, cited)))", "*map(id, cited[:1])))"),
+    # the step memo keyed without the system, so an AX line gets the
     # verdict of the same line in another system
     "ax_memo_key_without_system": (
-        "axioms.py", "(system, args, id(tree)))", "(args, id(tree)))"),
-    # the NEC/RK/RKD memo keyed without the rule, so an RKD step gets the
+        "axioms.py", '(system if rule == "AX" else None, rule',
+        "(None, rule"),
+    # the step memo keyed without the rule, so an RKD step gets the
     # verdict of an RK step with its line and cited line, or back
     "shape_memo_key_without_rule": (
-        "axioms.py", "(rule, kind, a, id(prev), id(form)))",
-        "(kind, a, id(prev), id(form)))"),
+        "axioms.py", 'else None, rule, params,', "else None, params,"),
     # the monotony rules with the wrong operator
     "rkd_applies_the_box": ("axioms.py",
                             'op = Diamond if rule == "RKD" else Box',
@@ -136,6 +143,11 @@ MUTANTS = {
     "audit_sweeps_first_of_group": (
         "axioms.py", "conjoin([instances[j] for j in group])",
         "conjoin([instances[j] for j in group[:1]])"),
+    # the columns of a product frame laid out with the row stride, so
+    # that a row and a column may not meet
+    "product_columns_with_row_stride": (
+        "solver.py", "sum(1 << (r * cols + c) for r in range(rows))",
+        "sum(1 << (c * rows + r) for r in range(rows))"),
 }
 
 # exit 3 on the first wrong answer or witness frame refused when built,
@@ -144,9 +156,10 @@ CHECK = """
 import importlib.resources
 import re
 import sys
-from helpers import (AX_RK_SHARED_STEPS, FIXTURES, MIXED_AUDIT,
-                     PL_SHARED_STEPS, TR_PRIME_POLARITY, exhaustive_formulas,
-                     line_negations, random_corpus, reference_audit)
+from helpers import (AX_RK_SHARED_STEPS, CITED_SHARED_STEPS, FIXTURES,
+                     MIXED_AUDIT, PL_SHARED_STEPS, TR_PRIME_POLARITY,
+                     exhaustive_formulas, line_negations, random_corpus,
+                     reference_audit)
 from stitkit import axioms, solver, syntax, translate
 from stitkit.kripke import mc
 
@@ -207,14 +220,10 @@ for name in FIXTURES:
             print("derivation", name, k)
             sys.exit(3)
         checked += 1
-for k, (doc, ok) in enumerate(PL_SHARED_STEPS):
+for k, (doc, ok) in enumerate(PL_SHARED_STEPS + AX_RK_SHARED_STEPS
+                               + CITED_SHARED_STEPS):
     if axioms.check(axioms.parse_derivation(doc)).ok != ok:
-        print("shared PL step", k)
-        sys.exit(3)
-    checked += 1
-for k, (doc, ok) in enumerate(AX_RK_SHARED_STEPS):
-    if axioms.check(axioms.parse_derivation(doc)).ok != ok:
-        print("shared AX or RK step", k)
+        print("shared step", k)
         sys.exit(3)
     checked += 1
 
@@ -242,6 +251,12 @@ for models in ("btac", "kripke"):
         print("audit", models)
         sys.exit(3)
     checked += 1
+
+for f in random_corpus(107, 200, 10):
+    if solver.sat(f, cfg2).verdict != solver.product_sat(f, 3).verdict:
+        print("product", syntax.pretty(f))
+        sys.exit(3)
+    checked += 1
 print(checked)
 """
 
@@ -265,7 +280,7 @@ def test_unmutated_copy_passes(tmp_path):
     out = _run(tmp_path)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) == (2367 + 82 + 1 + 226 + 1 + 6 + 43 + 8 + 8
-                               + 30 + 25 + 2)
+                               + 8 + 30 + 25 + 2 + 200)
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

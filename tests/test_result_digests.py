@@ -9,6 +9,7 @@ that alters a result on purpose updates the value here and says why.
 import pytest
 
 import digests
+from helpers import justification_mutations
 from perfbench import inputs, workloads
 
 SLICES = {
@@ -24,6 +25,9 @@ SLICES = {
     # every 8th replay document: 42
     "replay": lambda: digests.replay_results(
         workloads.Replay().inputs(1)[1][::8]),
+    # every 4th justification mutation, each in four systems: 3,000
+    "justifications": lambda: digests.justification_results(
+        justification_mutations()[::4]),
 }
 
 PINNED = {
@@ -37,6 +41,8 @@ PINNED = {
         "4685d46eadc756aeda00e497dbe97009d89d286d6a9949b3d63384483e792311",
     "replay":
         "31908837ab1c406718282b1216ff25868a979188a368016b75c1c3a2d7baf288",
+    "justifications":
+        "b5b7f374a8a5881978a078e5f16f4629fcb4f23096f01ad0fdbab1a44660b57d",
 }
 
 
