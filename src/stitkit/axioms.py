@@ -45,8 +45,7 @@ lines, are computed inside the step, on a miss only.  The memo holds the
 nodes its keys name, so an id is never reused while its entry lives,
 keeps at most 1024 entries, least recently used first out, and keeps
 only results, a failure message among them: a step over too many
-letters, a malformed AX argument or a formula nested too deeply raises
-again every time.
+letters or a malformed AX argument raises again every time.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import kernel, solver, syntax
-from .syntax import (And, Box, Cstit, Diamond, Dstit, Iff, Implies, Not,
-                     PosCstit, conjoin, parse)
+from .syntax import (And, Box, Cstit, Diamond, Iff, Implies, Not, PosCstit,
+                     conjoin, parse)
 
 SCHEMA_NAMES = ("S5Box-K", "S5Box-T", "S5Box-5", "S5i-K", "S5i-T", "S5i-5",
                 "InclBox", "AIA", "AAIA", "GPerm", "DefBox", "Perm01",
@@ -254,27 +253,16 @@ def parse_derivation(text):
     return Derivation(system, lines)
 
 
+def _collapse(g, h):
+    """canon's rule: ~~x becomes x."""
+    return h.sub.sub if type(h) is Not and type(h.sub) is Not else h
+
+
 def canon(f):
     """Collapse double negations everywhere (an admissible rewriting).
 
     A node with no double negation below it comes back as it is."""
-    if isinstance(f, Not):
-        sub = canon(f.sub)
-        if isinstance(sub, Not):
-            return sub.sub
-        return f if sub is f.sub else Not(sub)
-    if isinstance(f, And):
-        left, right = canon(f.left), canon(f.right)
-        if left is f.left and right is f.right:
-            return f
-        return And(left, right)
-    if isinstance(f, (Cstit, Dstit)):
-        sub = canon(f.sub)
-        return f if sub is f.sub else type(f)(f.agent, sub)
-    if isinstance(f, Box):
-        sub = canon(f.sub)
-        return f if sub is f.sub else Box(sub)
-    return f
+    return syntax.rewrite(f, _collapse)
 
 
 _PL_MAX_LETTERS = 16
@@ -284,27 +272,33 @@ def _pl_entails(premises, conclusion):
     """Truth-table entailment over the maximal non-boolean subformulas
     of premises and conclusion, all already in canon form: the premises
     and the negated conclusion, one kernel.columns program over those
-    letters, must be false under every assignment."""
-    letters, ops, args = {}, [], []
-
-    def emit(f):
-        if isinstance(f, Not):
-            op, arg = kernel.OP_NOT, (emit(f.sub), 0)
-        elif isinstance(f, And):
-            op, arg = kernel.OP_AND, (emit(f.left), emit(f.right))
-        else:
-            op, arg = kernel.OP_ATOM, (letters.setdefault(f, len(letters)), 0)
-        ops.append(op)
-        args.append(arg)
-        return len(ops) - 1
-
+    letters, must be false under every assignment.  The program holds
+    the nodes that the conjunction reaches through ~ and & alone, found
+    parents first, then emitted children first."""
     negated = (conclusion.sub if isinstance(conclusion, Not)
                else Not(conclusion))
-    emit(conjoin([*premises, negated]))
-    if len(letters) > _PL_MAX_LETTERS:
+    root = conjoin([*premises, negated])
+    sf = syntax.subformulas(root)
+    reached = {root}
+    for g in reversed(sf):
+        if g in reached and isinstance(g, Not):
+            reached.add(g.sub)
+        elif g in reached and isinstance(g, And):
+            reached.update((g.left, g.right))
+    at, ops, args, letters = {}, [], [], 0
+    for g in filter(reached.__contains__, sf):
+        if isinstance(g, Not):
+            op, arg = kernel.OP_NOT, (at[g.sub], 0)
+        elif isinstance(g, And):
+            op, arg = kernel.OP_AND, (at[g.left], at[g.right])
+        else:
+            op, arg, letters = kernel.OP_ATOM, (letters, 0), letters + 1
+        at[g] = len(ops)
+        ops.append(op)
+        args.append(arg)
+    if letters > _PL_MAX_LETTERS:
         raise ValueError("too many distinct subformulas for a PL step")
-    return not any(col[-1] for _, col in
-                   kernel.columns(ops, args, len(letters)))
+    return not any(col[-1] for _, col in kernel.columns(ops, args, letters))
 
 
 def _memo(key):
@@ -572,9 +566,9 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
     which covers all branching-time models within the bounds because
     evaluation never leaves the current moment; ``models='kripke'``
     additionally sweeps multi-class frames with the permutation property.
-    ``max_points`` is capped like the oracle's ``max_worlds``, since both
-    walk the same frames.  Returns a report with any counterexamples
-    (none expected), in instance order.
+    ``max_points`` and the frame walk of the most agents are capped like
+    the oracle's, since both walk the same frames.  Returns a report with
+    any counterexamples (none expected), in instance order.
 
     The instances of a family share most of their subformulas, so they
     are swept in groups: one sweep of the conjunction of each group of
@@ -603,6 +597,7 @@ def semantic_audit(name, max_k, grid=None, models="btac", max_points=4):
     for j, inst in enumerate(instances):
         key = (frozenset(syntax.agents(inst)), frozenset(syntax.atoms(inst)))
         groups.setdefault(key, []).append(j)
+    solver.check_frame_walk(max_points, max(len(a) for a, _ in groups))
     hits = [None] * len(instances)
     for group in groups.values():
         if _sweep_frames(conjoin([instances[j] for j in group]), max_points,

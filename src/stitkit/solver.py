@@ -59,6 +59,8 @@ from .syntax import And, Atom, Box, Cstit, Not
 ORACLE_MAX_WORLDS = 5
 ENGINE_MAX_LEAVES = 22
 ENGINE_MAX_COMBOS = 1 << 22
+# the most partition tuples a frame walk visits, one byte of marks each
+FRAME_WALK_MAX = 1 << 20
 # for _types: digits as the bytes 0 and 1, and chunk offsets made once
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 _OFFSETS = tuple(range(1 << kernel._COLUMN_CHUNK_BITS))
@@ -381,6 +383,16 @@ def _renamings(n):
     return tuple(out)
 
 
+def check_frame_walk(n, n_agents):
+    """Refuse a walk of the frames of n worlds and n_agents agents that
+    would visit more than FRAME_WALK_MAX partition tuples."""
+    size = len(_mask_partitions(n))
+    if size ** n_agents > FRAME_WALK_MAX:
+        raise ValueError(f"{n_agents} agents at {n} worlds walk "
+                         f"{size}**{n_agents} partition tuples, over the "
+                         f"frame budget of {FRAME_WALK_MAX}")
+
+
 @lru_cache(maxsize=None)
 def _frames(n, n_agents):
     """Frames of n worlds with the permutation property, deduplicated
@@ -400,6 +412,7 @@ def _frames(n, n_agents):
     marks every renaming of it by its position in the walk, and a later
     tuple of the class is skipped by one lookup, before its classes are
     built (orderly generation: Read 1978; McKay 1998)."""
+    check_frame_walk(n, n_agents)
     full = (1 << n) - 1
     parts_of = _mask_partitions(n)
     # parts_of with each cell as its list of points, for components
@@ -478,7 +491,8 @@ def _frame_model(frame, v, atom_names, agents, cfg):
 def oracle(f, max_worlds, cfg=None):
     """Independent brute force: every frame up to max_worlds, every
     valuation of the formula's atoms, streamed through the kernel with
-    one scan per world count."""
+    one scan per world count.  A frame walk over FRAME_WALK_MAX partition
+    tuples is refused before any scan."""
     cfg = cfg or SolverConfig()
     _check_agents(f, cfg)
     if not 1 <= max_worlds <= ORACLE_MAX_WORLDS:
@@ -490,6 +504,7 @@ def oracle(f, max_worlds, cfg=None):
         raise ValueError(
             f"{len(atom_names)} atoms at {max_worlds} worlds exceeds the "
             f"oracle valuation budget of {kernel.MAX_VALUATION_BITS} bits")
+    check_frame_walk(max_worlds, len(agents))
     hit, scanned = first_hit(
         f, (general_frames(n, len(agents))
             for n in range(1, max_worlds + 1)), agents, True)

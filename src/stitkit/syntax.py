@@ -19,10 +19,11 @@ exactly as long as the node does.  There is no intern table: two parses
 of one text give two equal, distinct trees.
 
 Nothing in this module recurses.  The parser, the printers, the
-measures, equality and ``expand_dstit`` walk with explicit stacks, so
-they handle any nesting depth under the default recursion limit.  The
-parser scans the text once into token strings and computes a position
-only for an error.
+measures and equality walk with explicit stacks, and ``rewrite``, the
+one children-first rebuild (of ``expand_dstit``, ``axioms.canon`` and
+the translations), walks the stored subformulas; so any nesting depth
+works under the default recursion limit.  The parser scans the text
+once into token strings and computes a position only for an error.
 """
 
 from __future__ import annotations
@@ -526,34 +527,40 @@ def language_tag(f):
     return LanguageTag.CSTIT
 
 
+def rewrite(f, rule):
+    """f rewritten by rule, children first, in one walk of subformulas(f):
+    rule(g, h) gets each subformula g and h, g rebuilt over the rewrites
+    of its children (g itself when none changed), and returns g's
+    rewrite.  So equal but distinct subtrees keep their identity, and f
+    itself comes back when nothing changed."""
+    new = {}  # subformula -> its rewrite, or None when it is unchanged
+    for g in subformulas(f):
+        t, h = type(g), g
+        if t is And:
+            left, right = new[g.left], new[g.right]
+            if left is not None or right is not None:
+                h = And(g.left if left is None else left,
+                        g.right if right is None else right)
+        elif t is not Atom and new[g.sub] is not None:
+            h = (t(new[g.sub]) if t is Not or t is Box
+                 else t(g.agent, new[g.sub]))
+        h = rule(g, h)
+        new[g] = None if h is g else h
+    return new[f] or f
+
+
+def _expand(g, h):
+    """expand_dstit's rule: {i}g becomes ([i]g & ~[]g)."""
+    return (And(Cstit(h.agent, h.sub), Not(Box(h.sub))) if type(h) is Dstit
+            else h)
+
+
 def expand_dstit(f):
     """Rewrite every {i}g into ([i]g & ~[]g).
 
     A node with no {i} below it comes back as it is, so a dstit-free
     formula is its own expansion and keeps its stored subformula walk.
     """
-    sf = subformulas(f)
-    if not any(type(g) is Dstit for g in sf):
+    if not any(type(g) is Dstit for g in subformulas(f)):
         return f
-    new = {}  # subformula -> its expansion, or None when it is unchanged
-    for g in sf:
-        t = type(g)
-        if t is Atom:
-            new[g] = None
-        elif t is And:
-            left, right = new[g.left], new[g.right]
-            new[g] = (None if left is None and right is None else
-                      And(g.left if left is None else left,
-                          g.right if right is None else right))
-        else:
-            sub = new[g.sub]
-            if t is Dstit:
-                sub = g.sub if sub is None else sub
-                new[g] = And(Cstit(g.agent, sub), Not(Box(sub)))
-            elif sub is None:
-                new[g] = None
-            elif t is Cstit:
-                new[g] = Cstit(g.agent, sub)
-            else:
-                new[g] = t(sub)
-    return new[f]
+    return rewrite(f, _expand)

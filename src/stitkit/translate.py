@@ -23,7 +23,8 @@ The output is t(f) when no fresh atom is made, and otherwise t(f)
 conjoined with the clauses, inner definitions first.
 
 Fresh atoms are named _b0, _b1, ... in the order their definitions are
-made, skipping every name that is an atom of the input.
+made, skipping every name that is an atom of the input.  Each
+translation is one ``syntax.rewrite`` walk, children first.
 """
 
 from __future__ import annotations
@@ -81,27 +82,23 @@ def _translate(f, kind):
     pols = _polarities(f, kind)
     taken = syntax.atoms(f)
     names = (Atom(f"_b{k}") for k in count() if f"_b{k}" not in taken)
-    fresh, clauses, out = {}, [], {}
+    fresh, clauses = {}, []
+
     # children first, so a fresh atom is named at the first `kind` node
-    # over its operand, after every name made inside that operand
-    for h in subformulas(f):
-        if isinstance(h, Atom):
-            out[h] = h
-        elif isinstance(h, Not):
-            out[h] = Not(out[h.sub])
-        elif isinstance(h, And):
-            out[h] = And(out[h.left], out[h.right])
-        elif isinstance(h, Box):
-            out[h] = Box(out[h.sub])
-        elif isinstance(h, kind):
-            g = h.sub
-            if not isinstance(g, Atom) and g not in fresh:
-                fresh[g] = s = next(names)
-                clauses.append(Box(_definition(s, out[g], pols[g])))
-            out[h] = _rewrite(h, g if isinstance(g, Atom) else fresh[g])
-        else:
-            raise TypeError(f"not a formula: {h!r}")
-    top = out[f]
+    # over its operand, after every name made inside that operand; it is
+    # named by the source operand g.sub and defined over its translation
+    def rule(g, h):
+        if not isinstance(g, kind):
+            return h
+        s = g.sub
+        if not isinstance(s, Atom):
+            if s not in fresh:
+                fresh[s] = next(names)
+                clauses.append(Box(_definition(fresh[s], h.sub, pols[s])))
+            s = fresh[s]
+        return _rewrite(g, s)
+
+    top = syntax.rewrite(f, rule)
     return And(top, conjoin(clauses)) if clauses else top
 
 

@@ -1,8 +1,9 @@
 """Shared test utilities: formula generators, small-model helpers, the
-recursive reference parser and translation, the scalar references of the
-bit-parallel inner loops, the direct permutation-property checks, the
-frame-at-a-time oracle, sweep and audit, measures that only the tests read,
-and the shared inputs of the derivation and translation checks."""
+recursive reference parser, translation, canon and dstit expansion, the
+scalar references of the bit-parallel inner loops, the direct
+permutation-property checks, the frame-at-a-time oracle, sweep and
+audit, measures that only the tests read, and the shared inputs of the
+derivation and translation checks."""
 
 import importlib.resources
 import itertools
@@ -12,7 +13,6 @@ import re
 from itertools import count
 
 from stitkit import kernel, syntax
-from stitkit.axioms import canon
 from stitkit.kripke import (KripkeModel, box_classes, check_partition,
                             components, mc)
 from stitkit.solver import (ENGINE_MAX_LEAVES, ORACLE_MAX_WORLDS,
@@ -292,6 +292,52 @@ def reference_translate(f, kind):
     return And(out, conjoin(clauses)) if clauses else out
 
 
+# -- recursive references for the rewrites of syntax.rewrite --------------
+
+def reference_canon(f):
+    """Collapse double negations everywhere (an admissible rewriting).
+
+    A node with no double negation below it comes back as it is."""
+    if isinstance(f, Not):
+        sub = reference_canon(f.sub)
+        if isinstance(sub, Not):
+            return sub.sub
+        return f if sub is f.sub else Not(sub)
+    if isinstance(f, And):
+        left, right = reference_canon(f.left), reference_canon(f.right)
+        if left is f.left and right is f.right:
+            return f
+        return And(left, right)
+    if isinstance(f, (Cstit, Dstit)):
+        sub = reference_canon(f.sub)
+        return f if sub is f.sub else type(f)(f.agent, sub)
+    if isinstance(f, Box):
+        sub = reference_canon(f.sub)
+        return f if sub is f.sub else Box(sub)
+    return f
+
+
+def reference_expand_dstit(f):
+    """syntax.expand_dstit as a recursive walk: every {i}g becomes
+    ([i]g' & ~[]g') over the expansion g' of g, and a node with no {i}
+    below it comes back as it is."""
+    if isinstance(f, Dstit):
+        sub = reference_expand_dstit(f.sub)
+        return And(Cstit(f.agent, sub), Not(Box(sub)))
+    if isinstance(f, And):
+        left = reference_expand_dstit(f.left)
+        right = reference_expand_dstit(f.right)
+        if left is f.left and right is f.right:
+            return f
+        return And(left, right)
+    if isinstance(f, Atom):
+        return f
+    sub = reference_expand_dstit(f.sub)
+    if sub is f.sub:
+        return f
+    return Cstit(f.agent, sub) if isinstance(f, Cstit) else type(f)(sub)
+
+
 # -- scalar references for solver._types and solver._search_group --------
 
 def reference_types(g):
@@ -498,7 +544,8 @@ def reference_pl_consequence(premises, conclusion, max_letters=16):
             letters[f] = len(letters)
         return ("var", letters[f])
 
-    shapes = [skel(canon(p)) for p in premises] + [skel(canon(conclusion))]
+    shapes = ([skel(reference_canon(p)) for p in premises]
+              + [skel(reference_canon(conclusion))])
     if len(letters) > max_letters:
         raise ValueError("too many distinct subformulas for a PL step")
 

@@ -212,6 +212,14 @@ def test_oracle(capsys):
                      "--max-worlds", "2"]) == 0
     for bound in ("0", "-1"):
         assert cli.main(["oracle", "p", "--max-worlds", bound]) == 2
+    # a frame walk over the budget exits 2 with one line, not after
+    # trying to allocate 5**14 bytes
+    capsys.readouterr()
+    many = "(" + " & ".join(f"<{i}>p" for i in range(14)) + " & []~p)"
+    assert cli.main(["oracle", many]) == 2
+    assert capsys.readouterr().err == (
+        "error: 14 agents at 3 worlds walk 5**14 partition tuples, over "
+        "the frame budget of 1048576\n")
 
 
 def test_sweep(capsys):
@@ -229,6 +237,12 @@ def test_sweep(capsys):
                      "--max-points", "6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: max_points 6") and err.count("\n") == 1
+    # so is a walk over the frame budget, before any group is swept
+    assert cli.main(["sweep", "--schema", "AIA", "--max-k", "40",
+                     "--max-points", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 41 agents at 2 worlds walk 2**41 partition tuples, over "
+        "the frame budget of 1048576\n")
 
 
 def test_oracle_parse_error_exit_2(capsys):
@@ -260,6 +274,18 @@ def test_deep_formula_translate_exit_0(capsys):
     want = translate.tr(syntax.parse(DEEP_TRANSLATE_CSTIT))
     assert out == syntax.pretty(want)
     assert syntax.parse(out) == want
+
+
+def test_deep_derivation_prove_exit_0(capsys, tmp_path):
+    # canon and the PL truth table have no recursion, so PL lines nested
+    # 3,000 deep are checked
+    deep = "[0]" * 3000 + "p"
+    chain = "(p & " * 3000 + "q" + ")" * 3000
+    path = tmp_path / "deep.drv"
+    path.write_text(f"system XU\n1: ({deep} -> ~~{deep}) ; PL\n"
+                    f"2: ({chain} -> q) ; PL\n")
+    assert run(capsys, "prove", str(path)) == (0, "accepted: 2 lines "
+                                               "accepted\n")
 
 
 def test_deep_formula_sat_exit_2(capsys):

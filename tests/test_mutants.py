@@ -7,10 +7,11 @@ the criterion-4 corpus through ``sat`` on the copy, against
 ``2**length`` world bound, and must catch each mutant; the unmutated
 copy must pass.  The mutants of ``solver``'s type search are caught on
 the ``sat`` side, those of the kernel, of ``first_hit`` and of the
-oracle's partitions on the brute force side, those of ``mc`` and
-``expand_dstit`` by the re-check of ``sat``'s witness.  A witness whose
-frame is refused when it is built, as a ``KripkeModel`` without the
-permutation property is, counts as caught too.
+oracle's partitions on the brute force side, those of ``mc``,
+``expand_dstit`` and ``syntax.rewrite`` by the re-check of ``sat``'s
+witness.  A witness whose frame is refused when it is built, as a
+``KripkeModel`` without the permutation property is, counts as caught
+too.
 
 The witness of a formula where fewer than two agents occur is held to
 ``length(f)**2`` worlds as well, the single-agent small model, at
@@ -106,12 +107,18 @@ MUTANTS = {
         "kripke.py", "return all(ev(g.sub, v) for v in class_of(u))",
         "return all(ev(g.sub, v) for v in _agent_cell(m, 0, u, class_of))"),
     "expand_dstit_without_not_box": (
-        "syntax.py", "new[g] = And(Cstit(g.agent, sub), Not(Box(sub)))",
-        "new[g] = Cstit(g.agent, sub)"),
+        "syntax.py", "And(Cstit(h.agent, h.sub), Not(Box(h.sub)))",
+        "Cstit(h.agent, h.sub)"),
+    # the rebuild walk that expand_dstit, canon and the translations
+    # share keeps an & with one rewritten child as it was
+    "rewrite_keeps_and_with_one_new_child": (
+        "syntax.py", "if left is not None or right is not None:",
+        "if left is not None and right is not None:"),
     # a negation over a subformula with a collapsed double negation in it
     "canon_drops_a_negation": (
-        "axioms.py", "return f if sub is f.sub else Not(sub)",
-        "return f if sub is f.sub else sub"),
+        "axioms.py", "type(h.sub) is Not else h",
+        "type(h.sub) is Not else h.sub if type(h) is Not and h is not g "
+        "else h"),
     # the step memo keyed without the cited trees, so a PL step gets the
     # verdict of an earlier step with its conclusion
     "pl_memo_key_without_premises": (

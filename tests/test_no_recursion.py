@@ -1,8 +1,8 @@
 """The README says the syntax module, the kernel compiler, the
-translations and the frame enumeration use no recursion, so formulas
-nested to any depth go through them.  This test reads the four modules
-with ``ast`` and fails if a function calls itself by name, directly or
-from a function nested in it.
+translations, the frame enumeration and the derivation checker use no
+recursion, so formulas nested to any depth go through them.  This test
+reads the five modules with ``ast`` and fails if a function calls itself
+by name, directly or from a function nested in it.
 
 Mutual recursion (f calls g, g calls f) and calls through another name
 (an alias, an attribute, a function passed as an argument) are out of
@@ -16,7 +16,8 @@ import pytest
 
 import stitkit
 
-MODULES = ("syntax.py", "kernel.py", "solver.py", "translate.py")
+MODULES = ("syntax.py", "kernel.py", "solver.py", "translate.py",
+           "axioms.py")
 
 
 def self_calls(source):

@@ -220,6 +220,20 @@ def test_oracle_guards():
     for bound in (solver.ORACLE_MAX_WORLDS + 1, 0, -1):
         with pytest.raises(ValueError):
             oracle(parse("p"), bound, CFG2)
+    # a frame walk over the budget is refused before its marks are
+    # allocated: 5**14 partition tuples at 3 worlds would take 6.1 GB
+    many = parse("(" + " & ".join(f"<{i}>p" for i in range(14)) + " & []~p)")
+    with pytest.raises(ValueError, match=r"14 agents at 3 worlds walk 5\*\*14 "
+                       r"partition tuples, over the frame budget of 1048576"):
+        oracle(many, 3, SolverConfig(agent_universe=14))
+    for frames_of in (moment_frames, general_frames):
+        with pytest.raises(ValueError, match="frame budget"):
+            frames_of(2, 21)
+    # the budget itself is a walk allowed
+    assert solver.FRAME_WALK_MAX == 2 ** 20
+    solver.check_frame_walk(2, 20)
+    with pytest.raises(ValueError, match="frame budget"):
+        solver.check_frame_walk(2, 21)
 
 
 def test_product_sat_never_skips_a_frame():

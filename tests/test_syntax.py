@@ -11,13 +11,16 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from stitkit import syntax
+from stitkit.axioms import canon
 from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
                             Implies, Not, Or, PosCstit, SyntaxError_,
                             agents, atoms, conjoin, expand_dstit,
                             language_tag, length, parse, pretty,
                             subformulas, LanguageTag)
+from stitkit.translate import tr, tr_prime
 
-from helpers import exhaustive_formulas, random_corpus, reference_parse
+from helpers import (exhaustive_formulas, random_corpus,
+                     reference_expand_dstit, reference_parse)
 
 
 def test_parse_primitives():
@@ -131,6 +134,21 @@ def test_expand_dstit():
     assert expand_dstit(k) is k
 
 
+def test_expand_dstit_matches_recursive_reference():
+    # the same expansion, and the input itself wherever the reference
+    # returns its input
+    corpus = [*exhaustive_formulas(7), *random_corpus(49, 1000, 16)]
+    kept = 0
+    for f in corpus:
+        want = reference_expand_dstit(f)
+        got = expand_dstit(f)
+        assert got == want and pretty(got) == pretty(want), pretty(f)
+        if want is f:
+            assert got is f, pretty(f)
+            kept += 1
+    assert (len(corpus), kept) == (1602, 1161)
+
+
 def test_str_matches_pretty():
     f = parse("([0]p & q)")
     assert str(f) == pretty(f)
@@ -239,6 +257,36 @@ def test_deep_nesting_without_recursion():
             assert e is g
     assert sys.getrecursionlimit() == limit
     assert time.process_time() - start < 5.0
+
+
+# the depth of the modal chains that the translations take: each level
+# makes a fresh atom and its definition, 14 nodes of output
+TR_DEPTH = 10_000
+
+
+def test_deep_rewrites_without_recursion():
+    # canon, expand_dstit and the translation of the chain's language all
+    # go through syntax.rewrite; CPU time, as in the test above
+    start = time.process_time()
+    limit = sys.getrecursionlimit()
+    for kind, (level, _, _) in DEEP.items():
+        f = g = P
+        for k in range(DEPTH):
+            f = level(f)
+            if k < TR_DEPTH:
+                g = level(g)
+        c = canon(f)
+        assert c is P if kind == "not" else c is f
+        e = expand_dstit(f)
+        assert _expansion_levels(e) == DEPTH if kind == "dstit" else e is f
+        if kind in ("not", "and"):
+            assert tr(f) is f
+        else:
+            # p and one fresh atom per operand above it
+            assert len(atoms((tr_prime if kind == "cstit" else tr)(g))) \
+                == TR_DEPTH
+    assert sys.getrecursionlimit() == limit
+    assert time.process_time() - start < 8.0
 
 
 # -- the loop parser against the recursive reference ------------------------
