@@ -19,7 +19,7 @@ from stitkit.syntax import (And, Atom, Box, Cstit, Diamond, Dstit, Iff,
                             subformulas, LanguageTag)
 from stitkit.translate import tr, tr_prime
 
-from helpers import (exhaustive_formulas, random_corpus,
+from helpers import (exhaustive_formulas, random_corpus, reference_canon,
                      reference_expand_dstit, reference_parse)
 
 
@@ -134,19 +134,22 @@ def test_expand_dstit():
     assert expand_dstit(k) is k
 
 
-def test_expand_dstit_matches_recursive_reference():
-    # the same expansion, and the input itself wherever the reference
+@pytest.mark.parametrize("rewritten, reference, kept", [
+    (expand_dstit, reference_expand_dstit, 1161),
+    (canon, reference_canon, 1281)])
+def test_rewrites_match_recursive_references(rewritten, reference, kept):
+    # the same result, and the input itself wherever the reference
     # returns its input
     corpus = [*exhaustive_formulas(7), *random_corpus(49, 1000, 16)]
-    kept = 0
+    same = 0
     for f in corpus:
-        want = reference_expand_dstit(f)
-        got = expand_dstit(f)
+        want = reference(f)
+        got = rewritten(f)
         assert got == want and pretty(got) == pretty(want), pretty(f)
         if want is f:
             assert got is f, pretty(f)
-            kept += 1
-    assert (len(corpus), kept) == (1602, 1161)
+            same += 1
+    assert (len(corpus), same) == (1602, kept)
 
 
 def test_str_matches_pretty():
